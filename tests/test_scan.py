@@ -1,5 +1,6 @@
 """Tests for the parameter-space scan and its CSV/JSON serialization."""
 
+import hashlib
 import json
 import math
 
@@ -17,6 +18,16 @@ from kcbs_msr import (
 )
 
 SQRT5 = math.sqrt(5.0)
+
+# SHA-256 of the files written by the record-list scan that preceded the
+# streaming writer, keyed by (resolution, format).  Any change to the
+# floats, their formatting or the framing changes these.
+GOLDEN_SHA256 = {
+    (32, "csv"): "65029cea5d3e08b89d650ce8f02682b051672cd04b8155d72d13f1bd6844f0a7",
+    (32, "json"): "7983d15ae2a2315dcefae10064943b722f0c8e4cf320ce7fd7217314bfd9790d",
+    (64, "csv"): "95a3403932e69271d342f7274f78e6518d4bfe5c8a428d012f364fe6b7455142",
+    (64, "json"): "049a13a13438bfe4f514d95afdbd0fe3b54228f766301842c904b7eacec27754",
+}
 
 
 class TestScanConfig:
@@ -139,3 +150,17 @@ class TestWriteScan:
         data = path.read_bytes()
         assert b"\r" not in data
         assert data.endswith(b"\n")
+
+    @pytest.mark.parametrize(("resolution", "fmt"), sorted(GOLDEN_SHA256))
+    def test_golden_bytes(self, tmp_path, resolution, fmt):
+        path = tmp_path / f"scan.{fmt}"
+        write_scan(ScanConfig(resolution=resolution, output_path=path, output_format=fmt))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256[(resolution, fmt)]
+
+    @pytest.mark.parametrize("resolution", [2, 7])
+    @pytest.mark.parametrize(("fmt", "render"), [("csv", render_csv), ("json", render_json)])
+    def test_file_equals_in_memory_render(self, tmp_path, resolution, fmt, render):
+        path = tmp_path / f"scan.{fmt}"
+        write_scan(ScanConfig(resolution=resolution, output_path=path, output_format=fmt))
+        assert path.read_bytes() == render(compute_scan(resolution)).encode("utf-8")
