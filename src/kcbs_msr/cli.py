@@ -124,7 +124,6 @@ def _cmd_scan(args) -> int:
         resolution=args.resolution,
         output_path=args.output,
         output_format=args.format,
-        seed=args.seed,
     )
     summary = write_scan(config)
     print(f"records = {summary.total}")
@@ -183,7 +182,6 @@ def _build_parser() -> _Parser:
     p_scan.add_argument("--resolution", type=int, required=True, help="cells per axis (>= 2)")
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
     p_scan.add_argument("--output", required=True, help="output file path")
-    p_scan.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed recorded with the run")
     p_scan.set_defaults(handler=_cmd_scan)
 
     p_verify = sub.add_parser("verify", help="run the self-check suite")

@@ -10,12 +10,20 @@ S and C depend on the azimuths through it alone.
 Output is CSV (header ``theta1,theta2,delta_phi,s,c,regime``) or JSON (an
 array of objects with the same keys), UTF-8 with LF newlines, values at 12
 significant digits, so a fixed configuration yields byte-identical files.
+
+``write_scan`` streams: it evaluates and writes one theta1 slab at a time,
+the resolution^2 cells of one theta1 with theta2 outer and delta_phi inner,
+slabs in increasing theta1, so memory stays flat in the resolution.  The
+slabs go to a temporary file next to the target, which replaces the target
+only once the scan is complete.  ``compute_scan`` and the renderers hold the
+same grid in memory as records, for small resolutions and for tests.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +32,6 @@ import numpy as np
 from .classify import Regime
 from .extremal import LOCAL_BOUND
 from .observables import CLASSICAL_BOUND, SQRT5
-from .states import DEFAULT_SEED
 
 __all__ = [
     "ScanConfig",
@@ -34,8 +41,6 @@ __all__ = [
     "regime_counts",
     "render_csv",
     "render_json",
-    "theta_centers",
-    "dphi_centers",
     "write_scan",
 ]
 
@@ -43,19 +48,20 @@ CSV_HEADER = "theta1,theta2,delta_phi,s,c,regime"
 
 OUTPUT_FORMATS = ("csv", "json")
 
+# Regime labels indexed by the code of ``_evaluate``, in the order of ``Regime``.
+_LABELS = np.array(
+    [r.value for r in (Regime.CONTEXTUAL_NONLOCAL, Regime.NONLOCAL_NONCONTEXTUAL, Regime.LOCAL)],
+    dtype=object,
+)
+
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Scan resolution, output format/path, and the recorded RNG seed.
-
-    The grid itself is deterministic; the seed is carried so that a config
-    fully identifies a run.
-    """
+    """Scan resolution and output format/path; the grid is deterministic."""
 
     resolution: int
     output_path: str | Path
     output_format: str = "csv"
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if self.resolution < 2:
@@ -97,29 +103,26 @@ def dphi_centers(resolution: int) -> np.ndarray:
     return (np.arange(resolution) + 0.5) * 2.0 * math.pi / resolution
 
 
+def _evaluate(theta1, theta2, delta_phi):
+    """S, concurrence and regime code on broadcast angle arrays.
+
+    The code indexes ``_LABELS``: 0 for S < -3, 1 for -3 <= S < -sqrt(5)
+    and 2 otherwise, the half-open bands of ``classify_s``.
+    """
+    f = np.sin(theta1) * np.sin(theta2) * np.cos(delta_phi) + np.cos(theta1) * np.cos(theta2)
+    y = np.cos(theta1) * np.cos(theta2)
+    s = 4.0 * (3.0 * SQRT5 - 5.0) * (y + 1.0) / (f + 3.0) + (5.0 - 4.0 * SQRT5)
+    c = (1.0 - f) / (3.0 + f)
+    return s, c, np.digitize(s, (CLASSICAL_BOUND, LOCAL_BOUND))
+
+
 def compute_scan(resolution: int) -> list[ScanRecord]:
     """Evaluate the grid in row-major order (theta1 outer, delta_phi inner)."""
     th = theta_centers(resolution)
-    dp = dphi_centers(resolution)
-    t1, t2, dphi = np.meshgrid(th, th, dp, indexing="ij")
-    f = np.sin(t1) * np.sin(t2) * np.cos(dphi) + np.cos(t1) * np.cos(t2)
-    y = np.cos(t1) * np.cos(t2)
-    s = 4.0 * (3.0 * SQRT5 - 5.0) * (y + 1.0) / (f + 3.0) + (5.0 - 4.0 * SQRT5)
-    c = (1.0 - f) / (3.0 + f)
-    labels = np.where(
-        s < CLASSICAL_BOUND,
-        Regime.CONTEXTUAL_NONLOCAL.value,
-        np.where(
-            s < LOCAL_BOUND, Regime.NONLOCAL_NONCONTEXTUAL.value, Regime.LOCAL.value
-        ),
-    )
-    flat = zip(
-        t1.ravel(), t2.ravel(), dphi.ravel(), s.ravel(), c.ravel(), labels.ravel()
-    )
-    return [
-        ScanRecord(float(a), float(b), float(d), float(sv), float(cv), str(lab))
-        for a, b, d, sv, cv, lab in flat
-    ]
+    t1, t2, dphi = np.meshgrid(th, th, dphi_centers(resolution), indexing="ij")
+    s, c, code = _evaluate(t1, t2, dphi)
+    columns = (t1, t2, dphi, s, c, _LABELS[code])
+    return [ScanRecord(*row) for row in zip(*(col.ravel().tolist() for col in columns))]
 
 
 def regime_counts(records: list[ScanRecord]) -> dict[str, int]:
@@ -159,14 +162,64 @@ def render_json(records: list[ScanRecord]) -> str:
     return json.dumps(rows, separators=(",", ":")) + "\n"
 
 
-def write_scan(config: ScanConfig) -> ScanSummary:
-    """Run the scan and write it to the configured path.
+def _csv_numbers(values) -> list[str]:
+    """``_fmt`` of each value."""
+    return list(map("%.12g".__mod__, values))
 
-    Returns the per-regime summary; the counts always equal what a reader
-    of the emitted file would recompute.
+
+def _json_numbers(values) -> list[str]:
+    """What ``json.dumps`` writes for ``float(_fmt(v))``: its repr."""
+    return list(map(repr, map(float, _csv_numbers(values))))
+
+
+def write_scan(config: ScanConfig) -> ScanSummary:
+    """Run the scan and write it to the configured path, slab by slab.
+
+    The file is written under a temporary name in the target's directory and
+    moved onto the target only when complete, so a failed scan leaves any
+    previous file untouched.  Returns the per-regime summary; the counts
+    always equal what a reader of the emitted file would recompute.
     """
-    records = compute_scan(config.resolution)
-    text = render_csv(records) if config.output_format == "csv" else render_json(records)
+    th = theta_centers(config.resolution)
+    dp = dphi_centers(config.resolution)
+    # A record is a per-slab head (theta1) and a per-cell template (theta2,
+    # delta_phi) with slots for s, c and the regime label; every angle is
+    # formatted once.
+    if config.output_format == "csv":
+        numbers = _csv_numbers
+        opening, separator, closing = CSV_HEADER + "\n", "\n", "\n"
+        head, cell = "{},", "{},{},%s,%s,%s"
+    else:
+        numbers = _json_numbers
+        opening, separator, closing = "[", ",", "]\n"
+        head, cell = '{{"theta1":{},', '"theta2":{},"delta_phi":{},"s":%s,"c":%s,"regime":"%s"}}'
+    th_text = numbers(th.tolist())
+    heads = [head.format(t) for t in th_text]
+    cells = [cell.format(a, b) for a in th_text for b in numbers(dp.tolist())]
+    counts = np.zeros(len(_LABELS), dtype=np.int64)
     path = Path(config.output_path)
-    path.write_bytes(text.encode("utf-8"))
-    return ScanSummary(total=len(records), counts=regime_counts(records), path=path)
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as out:
+            out.write(opening)
+            for i, slab_head in enumerate(heads):
+                s, c, code = _evaluate(th[i], th[:, None], dp[None, :])
+                code = code.ravel()
+                counts += np.bincount(code, minlength=len(_LABELS))
+                slots = [None] * (3 * code.size)
+                slots[0::3] = numbers(s.ravel().tolist())
+                slots[1::3] = numbers(c.ravel().tolist())
+                slots[2::3] = _LABELS[code].tolist()
+                template = slab_head + (separator + slab_head).join(cells)
+                if i:
+                    out.write(separator)
+                out.write(template % tuple(slots))
+            out.write(closing)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return ScanSummary(
+        total=int(counts.sum()), counts=dict(zip(_LABELS.tolist(), counts.tolist())), path=path
+    )

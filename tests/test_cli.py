@@ -1,12 +1,18 @@
 """Tests for the command-line interface: output, validation, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kcbs_msr
 from kcbs_msr.cli import main
+
+# The child interpreter imports the same package as these tests.
+PACKAGE_ROOT = str(Path(kcbs_msr.__file__).resolve().parent.parent)
 
 
 def run_cli(*argv, capsys):
@@ -140,6 +146,21 @@ class TestScan:
         assert code == 3
         assert "i/o error" in err
 
+    def test_directory_as_output_leaves_no_temp_file(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            "scan", "--resolution", "4", "--output", str(tmp_path), capsys=capsys
+        )
+        assert code == 3
+        assert "i/o error" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_is_a_usage_error(self, tmp_path):
+        # The grid is deterministic; --seed belongs to verify only.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scan", "--resolution", "4", "--seed", "1",
+                  "--output", str(tmp_path / "x.csv")])
+        assert excinfo.value.code == 1
+
 
 class TestVerify:
     def test_default_run_passes(self, capsys):
@@ -155,20 +176,22 @@ class TestVerify:
         assert "samples" in err
 
 
+def run_module(*argv):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "kcbs_msr", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "kcbs_msr", "eval", "--theta1", "0", "--theta2", "0"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_module("eval", "--theta1", "0", "--theta2", "0")
         assert result.returncode == 0
         assert "regime = Local" in result.stdout
 
     def test_unknown_command_exits_with_usage_code(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "kcbs_msr", "frobnicate"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_module("frobnicate")
         assert result.returncode == 1

@@ -3,12 +3,16 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from kcbs_msr import scan
 from kcbs_msr import (
     Regime,
     ScanConfig,
+    classify_s,
     compute_scan,
     regime_counts,
     render_csv,
@@ -38,6 +42,11 @@ class TestScanConfig:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             ScanConfig(resolution=8, output_path="out.xml", output_format="xml")
+
+    def test_has_no_seed(self):
+        # The grid is deterministic; a seed would be written nowhere.
+        with pytest.raises(TypeError):
+            ScanConfig(resolution=8, output_path="out.csv", seed=1)
 
 
 class TestComputeScan:
@@ -71,6 +80,15 @@ class TestComputeScan:
                 assert record.regime == Regime.NONLOCAL_NONCONTEXTUAL.value
             else:
                 assert record.regime == Regime.LOCAL.value
+
+    def test_kernel_codes_match_classify_s(self):
+        # (pi/2, pi/2, 0) lands exactly on S = -sqrt(5), which is Local.
+        angles = [(math.pi / 2, math.pi / 2, 0.0), (math.pi, 0.0, 0.0), (0.0, 0.0, 0.0), (2.0, 1.0, 0.5)]
+        t1, t2, dphi = (np.array(column) for column in zip(*angles))
+        s, _, code = scan._evaluate(t1, t2, dphi)
+        assert s[0] == -SQRT5
+        for s_value, k in zip(s.tolist(), code.tolist()):
+            assert scan._LABELS[k] == classify_s(s_value).value
 
     def test_grid_minimum_at_corner_cell(self):
         resolution = 32
@@ -164,3 +182,50 @@ class TestWriteScan:
         path = tmp_path / f"scan.{fmt}"
         write_scan(ScanConfig(resolution=resolution, output_path=path, output_format=fmt))
         assert path.read_bytes() == render(compute_scan(resolution)).encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_summary_equals_in_memory_counts(self, tmp_path, fmt):
+        summary = write_scan(
+            ScanConfig(resolution=9, output_path=tmp_path / "s", output_format=fmt)
+        )
+        assert summary.total == 9**3
+        assert summary.counts == regime_counts(compute_scan(9))
+        assert list(summary.counts) == [regime.value for regime in Regime]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_scan_keeps_previous_file(self, tmp_path, monkeypatch, fmt):
+        path = tmp_path / f"scan.{fmt}"
+        path.write_bytes(b"previous contents\n")
+        evaluate = scan._evaluate
+        calls = []
+
+        def fail_on_second_slab(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("slab failed")
+            return evaluate(*args)
+
+        monkeypatch.setattr(scan, "_evaluate", fail_on_second_slab)
+        with pytest.raises(RuntimeError, match="slab failed"):
+            write_scan(ScanConfig(resolution=4, output_path=path, output_format=fmt))
+        assert path.read_bytes() == b"previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_bytes(b"x" * 100_000)
+        write_scan(ScanConfig(resolution=3, output_path=path))
+        assert path.read_bytes() == render_csv(compute_scan(3)).encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_memory_flat_in_resolution(self, tmp_path):
+        # The res-64 CSV is 21.7 MB; a streaming writer holds one slab of it.
+        path = tmp_path / "scan.csv"
+        tracemalloc.start()
+        try:
+            write_scan(ScanConfig(resolution=64, output_path=path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == 21_736_585
+        assert peak < path.stat().st_size / 4
