@@ -9,146 +9,20 @@ classification by S value, and grid scans of the parameter space.  Every
 closed form is paired with an independent numerical check.
 """
 
-from .states import (
-    DEFAULT_SEED,
-    BlochAngles,
-    InvalidStateError,
-    MsrPair,
-    Qutrit,
-    f_function,
-    f_value,
-    msr_to_qutrit,
-    norm_squared,
-    overlap_angle,
-    qubit_ket,
-    sample_pairs,
-)
-from .observables import (
-    CLASSICAL_BOUND,
-    IncompatibleFrameError,
-    KCBS_DIAG_MIDDLE,
-    KCBS_DIAG_OUTER,
-    PentagramFrame,
-    SPECTRUM_MAX,
-    SPECTRUM_MIN,
-    SPIN1_X,
-    SPIN1_Y,
-    SPIN1_Z,
-    a_observable,
-    assignment_values,
-    classical_bound,
-    kcbs_operator_diagonal,
-    kcbs_operator_from_frame,
-    pentagram_vectors,
-    spin1_along,
-)
-from .measures import (
-    DegenerateAnglesError,
-    InfeasiblePhaseError,
-    concurrence_function,
-    concurrence_msr,
-    concurrence_symmetric,
-    delta_phi_for_constant_c,
-    expectation_value,
-    f_from_concurrence,
-    s_closed_form,
-    s_function,
-    s_rational_form,
-    s_via_concurrence,
-)
-from .extremal import (
-    ExtremalResult,
-    LOCAL_BOUND,
-    chsh_max,
-    concurrence_threshold,
-    extremal_theta_max,
-    extremal_theta_min,
-    extremal_witnesses,
-    numeric_extremal_search,
-    s_max_for_concurrence,
-    s_min_for_concurrence,
-    s_min_from_beta,
-)
-from .classify import Regime, StateReport, classify_s, classify_state
-from .scan import (
-    ScanConfig,
-    ScanRecord,
-    ScanSummary,
-    compute_scan,
-    regime_counts,
-    render_csv,
-    render_json,
-    write_scan,
-)
-from .checks import CheckResult, run_all_checks
+from . import checks, classify, extremal, measures, observables, scan, states
+from .states import *
+from .observables import *
+from .measures import *
+from .extremal import *
+from .classify import *
+from .scan import *
+from .checks import *
 
 __version__ = "0.1.0"
 
+# Each layer module's ``__all__`` is its public API; the package re-exports them.
 __all__ = [
-    "BlochAngles",
-    "CheckResult",
-    "CLASSICAL_BOUND",
-    "DEFAULT_SEED",
-    "DegenerateAnglesError",
-    "ExtremalResult",
-    "InfeasiblePhaseError",
-    "IncompatibleFrameError",
-    "InvalidStateError",
-    "KCBS_DIAG_MIDDLE",
-    "KCBS_DIAG_OUTER",
-    "LOCAL_BOUND",
-    "MsrPair",
-    "PentagramFrame",
-    "Qutrit",
-    "Regime",
-    "SPECTRUM_MAX",
-    "SPECTRUM_MIN",
-    "SPIN1_X",
-    "SPIN1_Y",
-    "SPIN1_Z",
-    "ScanConfig",
-    "ScanRecord",
-    "ScanSummary",
-    "StateReport",
-    "a_observable",
-    "assignment_values",
-    "chsh_max",
-    "classical_bound",
-    "classify_s",
-    "classify_state",
-    "compute_scan",
-    "concurrence_function",
-    "concurrence_msr",
-    "concurrence_symmetric",
-    "concurrence_threshold",
-    "delta_phi_for_constant_c",
-    "expectation_value",
-    "extremal_theta_max",
-    "extremal_theta_min",
-    "extremal_witnesses",
-    "f_from_concurrence",
-    "f_function",
-    "f_value",
-    "kcbs_operator_diagonal",
-    "kcbs_operator_from_frame",
-    "msr_to_qutrit",
-    "norm_squared",
-    "numeric_extremal_search",
-    "overlap_angle",
-    "pentagram_vectors",
-    "qubit_ket",
-    "regime_counts",
-    "render_csv",
-    "render_json",
-    "run_all_checks",
-    "s_closed_form",
-    "s_function",
-    "s_max_for_concurrence",
-    "s_min_for_concurrence",
-    "s_min_from_beta",
-    "s_rational_form",
-    "s_via_concurrence",
-    "sample_pairs",
-    "spin1_along",
-    "write_scan",
+    name
+    for module in (states, observables, measures, extremal, classify, scan, checks)
+    for name in module.__all__
 ]

@@ -26,7 +26,9 @@ from .extremal import (
     s_min_from_beta,
 )
 from .measures import (
+    concurrence_function,
     concurrence_msr,
+    concurrence_of_overlap,
     concurrence_symmetric,
     expectation_value,
     f_from_concurrence,
@@ -120,16 +122,15 @@ def _check_equivalences(pairs: list[MsrPair]) -> list[CheckResult]:
             s_via_concurrence(pair),
             expectation_value(qutrit),
         )
+        c = concurrence_msr(pair)
         s_err = max(s_err, max(forms) - min(forms))
-        c_err = max(
-            c_err, abs(concurrence_msr(pair) - concurrence_symmetric(qutrit))
-        )
+        c_err = max(c_err, abs(c - concurrence_symmetric(qutrit)))
         range_err = max(
             range_err,
             SPECTRUM_MIN - min(forms),
             max(forms) - SPECTRUM_MAX,
-            -concurrence_msr(pair),
-            concurrence_msr(pair) - 1.0,
+            -c,
+            c - 1.0,
             0.0,
         )
     return [
@@ -142,8 +143,7 @@ def _check_equivalences(pairs: list[MsrPair]) -> list[CheckResult]:
 def _check_concurrence_roundtrip() -> CheckResult:
     err = 0.0
     for c in _C_GRID:
-        f = f_from_concurrence(c)
-        err = max(err, abs((1.0 - f) / (3.0 + f) - c))
+        err = max(err, abs(concurrence_of_overlap(f_from_concurrence(c)) - c))
     return _result("concurrence-roundtrip", err, 1e-12)
 
 
@@ -218,10 +218,7 @@ def _check_extremal_tightness() -> CheckResult:
             if not witnesses:
                 return _result("extremal-tightness", math.inf, 1e-10)
             for t1, t2, dphi in witnesses:
-                f = math.sin(t1) * math.sin(t2) * math.cos(dphi) + math.cos(
-                    t1
-                ) * math.cos(t2)
-                err = max(err, abs((1.0 - f) / (3.0 + f) - c))
+                err = max(err, abs(concurrence_function(t1, t2, dphi) - c))
                 err = max(err, abs(s_function(t1, t2, dphi) - target))
     return _result("extremal-tightness", err, 1e-10)
 

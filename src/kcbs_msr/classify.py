@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 
@@ -13,6 +14,9 @@ from .states import MsrPair
 __all__ = ["Regime", "StateReport", "classify_s", "classify_state"]
 
 _RANGE_SLACK = 1e-9
+
+# Edges between the S bands, increasing; see ``Regime``.
+REGIME_EDGES = (CLASSICAL_BOUND, LOCAL_BOUND)
 
 
 class Regime(enum.Enum):
@@ -28,6 +32,10 @@ class Regime(enum.Enum):
     LOCAL = "Local"
 
 
+# The bands in increasing S, indexed by the number of edges at or below S.
+_BANDS = tuple(Regime)
+
+
 def classify_s(s: float) -> Regime:
     """Regime of a five-cycle expectation value.
 
@@ -38,11 +46,7 @@ def classify_s(s: float) -> Regime:
         raise ValueError(
             f"s out of the spectral range [{SPECTRUM_MIN}, {SPECTRUM_MAX}]: got {s}"
         )
-    if s < CLASSICAL_BOUND:
-        return Regime.CONTEXTUAL_NONLOCAL
-    if s < LOCAL_BOUND:
-        return Regime.NONLOCAL_NONCONTEXTUAL
-    return Regime.LOCAL
+    return _BANDS[bisect.bisect_right(REGIME_EDGES, s)]
 
 
 @dataclass(frozen=True)

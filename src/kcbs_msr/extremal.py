@@ -158,6 +158,7 @@ def numeric_extremal_search(
         raise ValueError(f"refine_iters must be non-negative: got {refine_iters}")
 
     f_t = f_from_concurrence(c)
+    # Own affine S: an oracle shares no code with measures; its rounding picks the printed witness.
     s_coef = 4.0 * (3.0 * SQRT5 - 5.0) / (f_t + 3.0)
     s_const = 5.0 - 4.0 * SQRT5
     minimizing = objective == "minimize"

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .observables import SPECTRUM_MAX, SPECTRUM_MIN, SQRT5, kcbs_operator_diagonal
+from .observables import SQRT5, kcbs_operator_diagonal
 from .states import InvalidStateError, MsrPair, Qutrit, f_function
 
 __all__ = [
@@ -82,15 +82,20 @@ def expectation_value(state, operator=None) -> float:
     return value.real
 
 
+def s_of_overlap(f, y):
+    """S from the overlap f and y = cos t1 cos t2; floats or numpy arrays."""
+    return 4.0 * (3.0 * SQRT5 - 5.0) * (y + 1.0) / (f + 3.0) + (5.0 - 4.0 * SQRT5)
+
+
+def concurrence_of_overlap(f):
+    """Concurrence (1 - f)/(3 + f) of the overlap f; floats or numpy arrays."""
+    return (1.0 - f) / (3.0 + f)
+
+
 def s_function(theta1: float, theta2: float, delta_phi: float) -> float:
     """Five-cycle expectation S of the raw star angles (closed form)."""
     f = f_function(theta1, theta2, delta_phi)
-    y = math.cos(theta1) * math.cos(theta2)
-    s = 4.0 * (3.0 * SQRT5 - 5.0) * (y + 1.0) / (f + 3.0) + (5.0 - 4.0 * SQRT5)
-    # The spectrum bounds S mathematically; a violation means a bug here,
-    # not bad input.
-    assert SPECTRUM_MIN - 1e-9 <= s <= SPECTRUM_MAX + 1e-9
-    return s
+    return s_of_overlap(f, math.cos(theta1) * math.cos(theta2))
 
 
 def s_closed_form(pair: MsrPair) -> float:
@@ -113,8 +118,7 @@ def s_rational_form(pair: MsrPair) -> float:
 
 def concurrence_function(theta1: float, theta2: float, delta_phi: float) -> float:
     """Concurrence (1 - f)/(3 + f) of the raw star angles."""
-    f = f_function(theta1, theta2, delta_phi)
-    return (1.0 - f) / (3.0 + f)
+    return concurrence_of_overlap(f_function(theta1, theta2, delta_phi))
 
 
 def concurrence_msr(pair: MsrPair) -> float:

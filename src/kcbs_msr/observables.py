@@ -62,7 +62,9 @@ SPIN1_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) * _SQRT2_IN
 SPIN1_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) * _SQRT2_INV
 SPIN1_Z = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
 
-_ORTHOGONALITY_TOL = 1e-6
+# Largest deviation from unit length and from consecutive orthogonality
+# that a frame may show.
+_FRAME_TOL = 1e-12
 
 
 class IncompatibleFrameError(ValueError):
@@ -84,10 +86,10 @@ class PentagramFrame:
         if v.shape != (5, 3):
             raise ValueError(f"frame must have shape (5, 3): got {v.shape}")
         norms = np.linalg.norm(v, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
+        if np.max(np.abs(norms - 1.0)) > _FRAME_TOL:
             raise ValueError("frame vectors must be unit length")
         dots = np.abs(np.einsum("ij,ij->i", v, np.roll(v, -1, axis=0)))
-        if np.max(dots) > 1e-12:
+        if np.max(dots) > _FRAME_TOL:
             raise IncompatibleFrameError(
                 f"consecutive directions are not orthogonal: max |v_j . v_j+1| = {np.max(dots)}"
             )
@@ -145,21 +147,13 @@ def a_observable(direction) -> np.ndarray:
 def kcbs_operator_from_frame(frame) -> np.ndarray:
     """Cyclic five-term operator sum_j A(v_j) A(v_{j+1}) for a frame.
 
-    Accepts a :class:`PentagramFrame` or a raw (5, 3) array of unit rows.
-    Consecutive orthogonality is what makes each product Hermitian, so it
-    is checked (tolerance 1e-6) before multiplying.
+    Accepts a :class:`PentagramFrame` or a raw (5, 3) array of unit rows,
+    which is validated as one.  Consecutive orthogonality is what makes each
+    product Hermitian.
     """
-    vecs = frame.vectors if isinstance(frame, PentagramFrame) else np.asarray(
-        frame, dtype=float
-    )
-    if vecs.shape != (5, 3):
-        raise ValueError(f"frame must have shape (5, 3): got {vecs.shape}")
-    dots = np.abs(np.einsum("ij,ij->i", vecs, np.roll(vecs, -1, axis=0)))
-    if np.max(dots) > _ORTHOGONALITY_TOL:
-        raise IncompatibleFrameError(
-            "consecutive directions are not orthogonal "
-            f"(max |v_j . v_j+1| = {np.max(dots)}); products would not be Hermitian"
-        )
+    if not isinstance(frame, PentagramFrame):
+        frame = PentagramFrame(frame)
+    vecs = frame.vectors
     ops = [a_observable(vecs[j]) for j in range(5)]
     return sum(ops[j] @ ops[(j + 1) % 5] for j in range(5))
 

@@ -29,9 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import Regime
-from .extremal import LOCAL_BOUND
-from .observables import CLASSICAL_BOUND, SQRT5
+from .classify import REGIME_EDGES, Regime
+from .measures import concurrence_of_overlap, s_of_overlap
 
 __all__ = [
     "ScanConfig",
@@ -49,10 +48,7 @@ CSV_HEADER = "theta1,theta2,delta_phi,s,c,regime"
 OUTPUT_FORMATS = ("csv", "json")
 
 # Regime labels indexed by the code of ``_evaluate``, in the order of ``Regime``.
-_LABELS = np.array(
-    [r.value for r in (Regime.CONTEXTUAL_NONLOCAL, Regime.NONLOCAL_NONCONTEXTUAL, Regime.LOCAL)],
-    dtype=object,
-)
+_LABELS = np.array([r.value for r in Regime], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -110,10 +106,8 @@ def _evaluate(theta1, theta2, delta_phi):
     and 2 otherwise, the half-open bands of ``classify_s``.
     """
     f = np.sin(theta1) * np.sin(theta2) * np.cos(delta_phi) + np.cos(theta1) * np.cos(theta2)
-    y = np.cos(theta1) * np.cos(theta2)
-    s = 4.0 * (3.0 * SQRT5 - 5.0) * (y + 1.0) / (f + 3.0) + (5.0 - 4.0 * SQRT5)
-    c = (1.0 - f) / (3.0 + f)
-    return s, c, np.digitize(s, (CLASSICAL_BOUND, LOCAL_BOUND))
+    s = s_of_overlap(f, np.cos(theta1) * np.cos(theta2))
+    return s, concurrence_of_overlap(f), np.digitize(s, REGIME_EDGES)
 
 
 def compute_scan(resolution: int) -> list[ScanRecord]:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from kcbs_msr import (
@@ -12,8 +13,17 @@ from kcbs_msr import (
     concurrence_threshold,
     sample_pairs,
 )
+from kcbs_msr.classify import REGIME_EDGES
+from kcbs_msr.scan import _LABELS
 
 SQRT5 = math.sqrt(5.0)
+
+
+def _band(s):
+    """``classify_s(s)``, after checking that the scan's label path agrees."""
+    regime = classify_s(s)
+    assert _LABELS[np.digitize(s, REGIME_EDGES)] == regime.value
+    return regime
 
 
 class TestClassifyS:
@@ -21,12 +31,16 @@ class TestClassifyS:
         assert classify_s(5.0 - 4.0 * SQRT5) is Regime.CONTEXTUAL_NONLOCAL
 
     def test_classical_boundary_inclusive(self):
-        assert classify_s(-3.0) is Regime.NONLOCAL_NONCONTEXTUAL
-        assert classify_s(-3.0 - 1e-12) is Regime.CONTEXTUAL_NONLOCAL
+        assert _band(-3.0) is Regime.NONLOCAL_NONCONTEXTUAL
+        assert _band(math.nextafter(-3.0, math.inf)) is Regime.NONLOCAL_NONCONTEXTUAL
+        assert _band(math.nextafter(-3.0, -math.inf)) is Regime.CONTEXTUAL_NONLOCAL
+        assert _band(-3.0 - 1e-12) is Regime.CONTEXTUAL_NONLOCAL
 
     def test_local_boundary_inclusive(self):
-        assert classify_s(-SQRT5) is Regime.LOCAL
-        assert classify_s(-SQRT5 - 1e-12) is Regime.NONLOCAL_NONCONTEXTUAL
+        assert _band(-SQRT5) is Regime.LOCAL
+        assert _band(math.nextafter(-SQRT5, math.inf)) is Regime.LOCAL
+        assert _band(math.nextafter(-SQRT5, -math.inf)) is Regime.NONLOCAL_NONCONTEXTUAL
+        assert _band(-SQRT5 - 1e-12) is Regime.NONLOCAL_NONCONTEXTUAL
 
     def test_well_inside_local(self):
         assert classify_s(-1.0) is Regime.LOCAL

@@ -192,9 +192,19 @@ class TestKcbsOperator:
 
     def test_incompatible_frame_rejected(self):
         tilted = pentagram_vectors().vectors.copy()
-        # Tilt one direction by much more than the 1e-6 orthogonality gate.
+        # Tilt one direction by far more than the 1e-12 frame tolerance.
         tilted[1] = tilted[1] + 1e-3 * tilted[0]
         tilted[1] /= np.linalg.norm(tilted[1])
+        with pytest.raises(IncompatibleFrameError):
+            kcbs_operator_from_frame(tilted)
+
+    def test_raw_frame_meets_the_frame_tolerance(self):
+        # A tilt of 1e-8 is rejected from a raw array as from a PentagramFrame.
+        tilted = pentagram_vectors().vectors.copy()
+        tilted[1] = tilted[1] + 1e-8 * tilted[0]
+        tilted[1] /= np.linalg.norm(tilted[1])
+        with pytest.raises(IncompatibleFrameError):
+            PentagramFrame(tilted)
         with pytest.raises(IncompatibleFrameError):
             kcbs_operator_from_frame(tilted)
 

@@ -1,6 +1,8 @@
 """Tests of the package as a whole: its public API and its source."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import kcbs_msr
 
@@ -94,3 +96,17 @@ class TestPublicApi:
             assert set(module.__all__) == set(names), module_name
             for name in names:
                 assert getattr(kcbs_msr, name) is getattr(module, name), name
+
+
+class TestSource:
+    def test_no_assert_statements(self):
+        # ``python -O`` strips asserts, so none may guard the package's math.
+        found = []
+        for path in sorted(Path(kcbs_msr.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)
+            ]
+        assert found == []
