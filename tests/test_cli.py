@@ -9,10 +9,116 @@ from pathlib import Path
 import pytest
 
 import kcbs_msr
+from kcbs_msr import checks
 from kcbs_msr.cli import main
 
 # The child interpreter imports the same package as these tests.
 PACKAGE_ROOT = str(Path(kcbs_msr.__file__).resolve().parent.parent)
+
+
+# Golden stdout.  Any change to a printed byte of these runs fails here.
+VERIFY_200 = """\
+qutrit-normalization           max_error=4.441e-16  tolerance=1.0e-12  PASS
+star-swap-symmetry             max_error=2.371e-16  tolerance=1.0e-12  PASS
+global-phase-invariance        max_error=5.551e-16  tolerance=1.0e-12  PASS
+f-range-and-overlap-roundtrip  max_error=1.665e-16  tolerance=1.0e-12  PASS
+s-four-way-equivalence         max_error=1.776e-15  tolerance=1.0e-12  PASS
+concurrence-equivalence        max_error=4.441e-16  tolerance=1.0e-12  PASS
+s-and-c-range                  max_error=0.000e+00  tolerance=1.0e-12  PASS
+concurrence-roundtrip          max_error=1.110e-16  tolerance=1.0e-12  PASS
+diag-vs-pentagram              max_error=8.944e-16  tolerance=1.0e-10  PASS
+frame-rotation-invariance      max_error=7.022e-16  tolerance=1.0e-10  PASS
+classical-bound-is-minus-3     max_error=0.000e+00  tolerance=0.0e+00  PASS
+classical-bound-vs-oracle      max_error=0.000e+00  tolerance=0.0e+00  PASS
+spectral-containment           max_error=0.000e+00  tolerance=1.0e-12  PASS
+smin-numeric-oracle            max_error=2.154e-08  tolerance=1.0e-06  PASS
+smax-constancy                 max_error=1.884e-08  tolerance=1.0e-06  PASS
+extremal-tightness             max_error=8.882e-16  tolerance=1.0e-10  PASS
+threshold-solves-minus-3       max_error=0.000e+00  tolerance=1.0e-12  PASS
+threshold-vs-bisection         max_error=2.776e-16  tolerance=1.0e-10  PASS
+chsh-endpoints                 max_error=0.000e+00  tolerance=1.0e-12  PASS
+chsh-smin-composition          max_error=1.776e-15  tolerance=1.0e-12  PASS
+chsh-offset-proportionality    max_error=1.497e-12  tolerance=1.0e-10  PASS
+smin-dominance                 max_error=0.000e+00  tolerance=1.0e-10  PASS
+contextual-implies-entangled   max_error=0.000e+00  tolerance=0.0e+00  PASS
+all 23 checks passed
+"""
+
+VERIFY_200_SEED_7 = """\
+qutrit-normalization           max_error=5.551e-16  tolerance=1.0e-12  PASS
+star-swap-symmetry             max_error=2.371e-16  tolerance=1.0e-12  PASS
+global-phase-invariance        max_error=5.551e-16  tolerance=1.0e-12  PASS
+f-range-and-overlap-roundtrip  max_error=2.220e-16  tolerance=1.0e-12  PASS
+s-four-way-equivalence         max_error=1.776e-15  tolerance=1.0e-12  PASS
+concurrence-equivalence        max_error=5.551e-16  tolerance=1.0e-12  PASS
+s-and-c-range                  max_error=0.000e+00  tolerance=1.0e-12  PASS
+concurrence-roundtrip          max_error=1.110e-16  tolerance=1.0e-12  PASS
+diag-vs-pentagram              max_error=8.944e-16  tolerance=1.0e-10  PASS
+frame-rotation-invariance      max_error=7.022e-16  tolerance=1.0e-10  PASS
+classical-bound-is-minus-3     max_error=0.000e+00  tolerance=0.0e+00  PASS
+classical-bound-vs-oracle      max_error=0.000e+00  tolerance=0.0e+00  PASS
+spectral-containment           max_error=0.000e+00  tolerance=1.0e-12  PASS
+smin-numeric-oracle            max_error=2.154e-08  tolerance=1.0e-06  PASS
+smax-constancy                 max_error=1.884e-08  tolerance=1.0e-06  PASS
+extremal-tightness             max_error=8.882e-16  tolerance=1.0e-10  PASS
+threshold-solves-minus-3       max_error=0.000e+00  tolerance=1.0e-12  PASS
+threshold-vs-bisection         max_error=2.776e-16  tolerance=1.0e-10  PASS
+chsh-endpoints                 max_error=0.000e+00  tolerance=1.0e-12  PASS
+chsh-smin-composition          max_error=1.776e-15  tolerance=1.0e-12  PASS
+chsh-offset-proportionality    max_error=1.497e-12  tolerance=1.0e-10  PASS
+smin-dominance                 max_error=0.000e+00  tolerance=1.0e-10  PASS
+contextual-implies-entangled   max_error=0.000e+00  tolerance=0.0e+00  PASS
+all 23 checks passed
+"""
+
+GENERIC_STATE = ("--theta1", "1.1", "--theta2", "2.3", "--phi1", "0.4", "--phi2", "2.9")
+
+CLASSIFY_GENERIC = """\
+theta1 = 1.1
+theta2 = 2.3
+delta_phi = -2.5
+S = -1.74241797751
+C = 0.847270125552
+regime = Local
+"""
+
+EVAL_GENERIC = CLASSIFY_GENERIC + """\
+amp(+1) = 0.473315570802+0i
+amp(0) = -0.537133975402+0.258830486398i
+amp(-1) = -0.640315144827-0.102287621548i
+"""
+
+EXTREMAL_MIN_03 = """\
+concurrence = 0.3
+objective = minimize
+S_closed = -2.74852915725
+witness: theta1 = 0.823897733726, theta2 = 2.31769491986, delta_phi = 0
+witness: theta1 = 2.31769491986, theta2 = 0.823897733726, delta_phi = 0
+S_numeric = -2.74852913588
+numeric witness: theta1 = 0.823897755083, theta2 = 2.31769492191, delta_phi = 0.000267395177763
+discrepancy = 2.137e-08
+result: PASS (tolerance 1e-06)
+"""
+
+# The second maximum witness is the negative theta2 root, printed as is.
+EXTREMAL_MAX_03 = """\
+concurrence = 0.3
+objective = maximize
+S_closed = -0.527864045
+witness: theta1 = 0.746898593069, theta2 = 0.746898593069, delta_phi = 3.14159265359
+witness: theta1 = 0.746898593069, theta2 = -0.746898593069, delta_phi = 0
+S_numeric = -0.527864049539
+numeric witness: theta1 = 0.746898595119, theta2 = 0.746898595119, delta_phi = 3.14145956875
+discrepancy = 4.538e-09
+result: PASS (tolerance 1e-06)
+"""
+
+SCAN_4_SUMMARY = """\
+records = 64
+count[ContextualNonlocal] = 8
+count[NonlocalNoncontextual] = 12
+count[Local] = 44
+"""
 
 
 def run_cli(*argv, capsys):
@@ -174,6 +280,66 @@ class TestVerify:
         code, _, err = run_cli("verify", "--samples", "0", capsys=capsys)
         assert code == 1
         assert "samples" in err
+
+
+    @pytest.mark.parametrize(
+        "route, delta, check",
+        [
+            ("s_rational_form", 1e-9, "s-four-way-equivalence"),
+            ("concurrence_symmetric", 1e-9, "concurrence-equivalence"),
+            ("overlap_angle", 1e-6, "f-range-and-overlap-roundtrip"),
+            ("expectation_value", 1.0, "spectral-containment"),
+            ("s_closed_form", -1.0, "smin-dominance"),
+        ],
+    )
+    def test_broken_route_fails_its_check(self, route, delta, check, monkeypatch,
+                                          capsys):
+        original = getattr(checks, route)
+        monkeypatch.setattr(checks, route, lambda *a: original(*a) + delta)
+        code, out, _ = run_cli("verify", "--samples", "20", capsys=capsys)
+        assert code == 2
+        rows = {line.split()[0]: line for line in out.splitlines()}
+        assert rows[check].endswith("  FAIL")
+        failed_line = out.splitlines()[-1]
+        assert failed_line.startswith("FAILED: ")
+        assert check in failed_line[len("FAILED: "):].split(", ")
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("verify", "--samples", "200"), VERIFY_200),
+            (("verify", "--samples", "200", "--seed", "7"), VERIFY_200_SEED_7),
+            (("eval", *GENERIC_STATE), EVAL_GENERIC),
+            (("classify", *GENERIC_STATE), CLASSIFY_GENERIC),
+            (
+                ("extremal", "--concurrence", "0.3", "--method", "both",
+                 "--objective", "min"),
+                EXTREMAL_MIN_03,
+            ),
+            (
+                ("extremal", "--concurrence", "0.3", "--method", "both",
+                 "--objective", "max"),
+                EXTREMAL_MAX_03,
+            ),
+        ],
+        ids=["verify", "verify-seed-7", "eval", "classify", "extremal-min",
+             "extremal-max"],
+    )
+    def test_stdout(self, argv, expected, capsys):
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 0
+        assert out == expected
+        assert err == ""
+
+    def test_scan_summary(self, tmp_path, capsys):
+        out_path = tmp_path / "scan.csv"
+        code, out, _ = run_cli(
+            "scan", "--resolution", "4", "--output", str(out_path), capsys=capsys
+        )
+        assert code == 0
+        assert out == SCAN_4_SUMMARY + f"wrote {out_path}\n"
 
 
 def run_module(*argv):
