@@ -78,19 +78,24 @@ def _result(name: str, max_error: float, tolerance: float) -> CheckResult:
     return CheckResult(name=name, max_error=float(max_error), tolerance=tolerance)
 
 
-def _check_state_geometry(pairs: list[MsrPair]) -> list[CheckResult]:
-    norm_err = 0.0
-    swap_err = 0.0
-    phase_err = 0.0
-    f_err = 0.0
+def _check_samples(pairs: list[MsrPair]) -> list[CheckResult]:
+    """Every check on the sampled pairs, in one walk that computes each
+    per-pair value once; results in the order :func:`run_all_checks` splices
+    them in."""
+    norm_err = swap_err = phase_err = f_err = 0.0
+    s_err = c_err = range_err = spectral_err = dom_err = 0.0
+    violations = 0
+    op = kcbs_operator_diagonal()
+    threshold = concurrence_threshold()
+    shift = 0.7
     for pair in pairs:
-        v = msr_to_qutrit(pair).vector
+        qutrit = msr_to_qutrit(pair)
+        v = qutrit.vector
         norm_err = max(norm_err, abs(float(np.vdot(v, v).real) - 1.0))
         swapped = MsrPair(pair.star2, pair.star1)
         swap_err = max(
             swap_err, float(np.max(np.abs(v - msr_to_qutrit(swapped).vector)))
         )
-        shift = 0.7
         shifted = MsrPair(
             BlochAngles(pair.star1.theta, pair.star1.phi + shift),
             BlochAngles(pair.star2.theta, pair.star2.phi + shift),
@@ -102,26 +107,10 @@ def _check_state_geometry(pairs: list[MsrPair]) -> list[CheckResult]:
         f = f_value(pair)
         f_err = max(f_err, max(abs(f) - 1.0, 0.0))
         f_err = max(f_err, abs(math.cos(2.0 * overlap_angle(pair)) - f))
-    return [
-        _result("qutrit-normalization", norm_err, 1e-12),
-        _result("star-swap-symmetry", swap_err, 1e-12),
-        _result("global-phase-invariance", phase_err, 1e-12),
-        _result("f-range-and-overlap-roundtrip", f_err, 1e-12),
-    ]
 
-
-def _check_equivalences(pairs: list[MsrPair]) -> list[CheckResult]:
-    s_err = 0.0
-    c_err = 0.0
-    range_err = 0.0
-    for pair in pairs:
-        qutrit = msr_to_qutrit(pair)
-        forms = (
-            s_closed_form(pair),
-            s_rational_form(pair),
-            s_via_concurrence(pair),
-            expectation_value(qutrit),
-        )
+        s = s_closed_form(pair)
+        expectation = expectation_value(qutrit, op)
+        forms = (s, s_rational_form(pair), s_via_concurrence(pair), expectation)
         c = concurrence_msr(pair)
         s_err = max(s_err, max(forms) - min(forms))
         c_err = max(c_err, abs(c - concurrence_symmetric(qutrit)))
@@ -133,10 +122,26 @@ def _check_equivalences(pairs: list[MsrPair]) -> list[CheckResult]:
             c - 1.0,
             0.0,
         )
+        spectral_err = max(
+            spectral_err, SPECTRUM_MIN - expectation, expectation - SPECTRUM_MAX, 0.0
+        )
+        dom_err = max(dom_err, s_min_for_concurrence(c) - s, s - SPECTRUM_MAX, 0.0)
+        if (
+            classify_s(s) is Regime.CONTEXTUAL_NONLOCAL
+            and c <= threshold - 1e-10
+        ):
+            violations += 1
     return [
+        _result("qutrit-normalization", norm_err, 1e-12),
+        _result("star-swap-symmetry", swap_err, 1e-12),
+        _result("global-phase-invariance", phase_err, 1e-12),
+        _result("f-range-and-overlap-roundtrip", f_err, 1e-12),
         _result("s-four-way-equivalence", s_err, 1e-12),
         _result("concurrence-equivalence", c_err, 1e-12),
         _result("s-and-c-range", range_err, 1e-12),
+        _result("spectral-containment", spectral_err, 1e-12),
+        _result("smin-dominance", dom_err, 1e-10),
+        _result("contextual-implies-entangled", float(violations), 0.0),
     ]
 
 
@@ -182,15 +187,6 @@ def _check_classical_bound() -> list[CheckResult]:
         _result("classical-bound-is-minus-3", abs(values.min() - (-3)), 0.0),
         _result("classical-bound-vs-oracle", abs(values.min() - oracle), 0.0),
     ]
-
-
-def _check_spectral_containment(pairs: list[MsrPair]) -> CheckResult:
-    err = 0.0
-    op = kcbs_operator_diagonal()
-    for pair in pairs:
-        value = expectation_value(msr_to_qutrit(pair), op)
-        err = max(err, SPECTRUM_MIN - value, value - SPECTRUM_MAX, 0.0)
-    return _result("spectral-containment", err, 1e-12)
 
 
 def _check_extremal_oracle(grid_n: int, refine_iters: int) -> list[CheckResult]:
@@ -262,25 +258,6 @@ def _check_chsh() -> list[CheckResult]:
     ]
 
 
-def _check_dominance(pairs: list[MsrPair]) -> list[CheckResult]:
-    dom_err = 0.0
-    threshold = concurrence_threshold()
-    violations = 0
-    for pair in pairs:
-        s = s_closed_form(pair)
-        c = concurrence_msr(pair)
-        dom_err = max(dom_err, s_min_for_concurrence(c) - s, s - SPECTRUM_MAX, 0.0)
-        if (
-            classify_s(s) is Regime.CONTEXTUAL_NONLOCAL
-            and c <= threshold - 1e-10
-        ):
-            violations += 1
-    return [
-        _result("smin-dominance", dom_err, 1e-10),
-        _result("contextual-implies-entangled", float(violations), 0.0),
-    ]
-
-
 def run_all_checks(
     samples: int = 1000,
     seed: int = DEFAULT_SEED,
@@ -291,16 +268,17 @@ def run_all_checks(
     if samples < 1:
         raise ValueError(f"samples must be at least 1: got {samples}")
     pairs = sample_pairs(samples, seed=seed)
-    results: list[CheckResult] = []
-    results.extend(_check_state_geometry(pairs))
-    results.extend(_check_equivalences(pairs))
-    results.append(_check_concurrence_roundtrip())
-    results.extend(_check_operator_construction())
-    results.extend(_check_classical_bound())
-    results.append(_check_spectral_containment(pairs))
-    results.extend(_check_extremal_oracle(grid_n, refine_iters))
-    results.append(_check_extremal_tightness())
-    results.extend(_check_threshold())
-    results.extend(_check_chsh())
-    results.extend(_check_dominance(pairs))
-    return results
+    *head, spectral, dominance, implication = _check_samples(pairs)
+    return [
+        *head,
+        _check_concurrence_roundtrip(),
+        *_check_operator_construction(),
+        *_check_classical_bound(),
+        spectral,
+        *_check_extremal_oracle(grid_n, refine_iters),
+        _check_extremal_tightness(),
+        *_check_threshold(),
+        *_check_chsh(),
+        dominance,
+        implication,
+    ]

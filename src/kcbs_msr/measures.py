@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .observables import SQRT5, kcbs_operator_diagonal
-from .states import InvalidStateError, MsrPair, Qutrit, f_function
+from .states import MsrPair, Qutrit, f_function
 
 __all__ = [
     "DegenerateAnglesError",
@@ -54,13 +54,9 @@ class InfeasiblePhaseError(ValueError):
 
 
 def _as_amplitudes(state) -> np.ndarray:
-    if isinstance(state, Qutrit):
-        return state.vector
-    v = np.asarray(state, dtype=complex).reshape(3)
-    norm2 = float(np.vdot(v, v).real)
-    if abs(norm2 - 1.0) > 1e-9:
-        raise InvalidStateError(f"state is not normalized: |psi|^2 = {norm2}")
-    return v
+    if not isinstance(state, Qutrit):
+        state = Qutrit.from_vector(state)
+    return state.vector
 
 
 def expectation_value(state, operator=None) -> float:
@@ -74,7 +70,7 @@ def expectation_value(state, operator=None) -> float:
     if op.shape != (3, 3):
         raise ValueError(f"operator must be 3x3: got shape {op.shape}")
     value = complex(np.vdot(v, op @ v))
-    if abs(value.imag) > 1e-12:
+    if not abs(value.imag) <= 1e-12:
         raise ValueError(
             f"expectation has non-negligible imaginary part {value.imag}; "
             "operator is not Hermitian"
@@ -167,7 +163,7 @@ def delta_phi_for_constant_c(theta1: float, theta2: float, c: float) -> float:
     DegenerateAnglesError
         If sin(t1) sin(t2) < 1e-12, where delta_phi has no effect.
     InfeasiblePhaseError
-        If no phase realizes ``c`` at these polar angles.
+        If no phase realizes ``c`` at these polar angles, or an angle is NaN.
     """
     _validate_concurrence(c)
     p = math.sin(theta1) * math.sin(theta2)
@@ -176,7 +172,7 @@ def delta_phi_for_constant_c(theta1: float, theta2: float, c: float) -> float:
             "sin(theta1) sin(theta2) vanishes; delta_phi is unconstrained"
         )
     value = (f_from_concurrence(c) - math.cos(theta1) * math.cos(theta2)) / p
-    if abs(value) > 1.0 + 1e-12:
+    if not abs(value) <= 1.0 + 1e-12:
         raise InfeasiblePhaseError(
             f"no delta_phi realizes concurrence {c} at these angles: "
             f"cos(delta_phi) would be {value}"

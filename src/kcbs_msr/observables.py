@@ -86,10 +86,11 @@ class PentagramFrame:
         if v.shape != (5, 3):
             raise ValueError(f"frame must have shape (5, 3): got {v.shape}")
         norms = np.linalg.norm(v, axis=1)
-        if np.max(np.abs(norms - 1.0)) > _FRAME_TOL:
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not np.max(np.abs(norms - 1.0)) <= _FRAME_TOL:
             raise ValueError("frame vectors must be unit length")
         dots = np.abs(np.einsum("ij,ij->i", v, np.roll(v, -1, axis=0)))
-        if np.max(dots) > _FRAME_TOL:
+        if not np.max(dots) <= _FRAME_TOL:
             raise IncompatibleFrameError(
                 f"consecutive directions are not orthogonal: max |v_j . v_j+1| = {np.max(dots)}"
             )
@@ -120,7 +121,7 @@ def pentagram_vectors() -> PentagramFrame:
 def _unit_direction(direction) -> np.ndarray:
     d = np.asarray(direction, dtype=float).reshape(3)
     norm = float(np.linalg.norm(d))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"direction must be a unit 3-vector: |d| = {norm}")
     return d
 

@@ -107,7 +107,7 @@ class Qutrit:
             + abs(self.amp_0) ** 2
             + abs(self.amp_minus1) ** 2
         )
-        if abs(norm2 - 1.0) > 1e-9:
+        if not abs(norm2 - 1.0) <= 1e-9:
             raise InvalidStateError(
                 f"qutrit amplitudes are not normalized: |psi|^2 = {norm2}"
             )
@@ -132,12 +132,14 @@ def f_function(theta1: float, theta2: float, delta_phi: float) -> float:
     """Star-overlap function of the raw angles, clamped into [-1, 1].
 
     The clamp only removes floating-point excursions of a few ulps;
-    mathematically the value always lies in [-1, 1].
+    mathematically the value always lies in [-1, 1].  A NaN angle gives NaN:
+    the clamp compares, which NaN fails, where ``max(-1.0, nan)`` would
+    return -1, antipodal stars.
     """
     raw = math.sin(theta1) * math.sin(theta2) * math.cos(delta_phi) + math.cos(
         theta1
     ) * math.cos(theta2)
-    return min(1.0, max(-1.0, raw))
+    return -1.0 if raw < -1.0 else (1.0 if raw > 1.0 else raw)
 
 
 def f_value(pair: MsrPair) -> float:

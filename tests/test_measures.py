@@ -12,11 +12,13 @@ from kcbs_msr import (
     InvalidStateError,
     MsrPair,
     Qutrit,
+    concurrence_function,
     concurrence_msr,
     concurrence_symmetric,
     delta_phi_for_constant_c,
     expectation_value,
     f_from_concurrence,
+    f_function,
     kcbs_operator_diagonal,
     msr_to_qutrit,
     s_closed_form,
@@ -50,6 +52,17 @@ class TestExpectationValue:
     def test_rejects_unnormalized_state(self):
         with pytest.raises(InvalidStateError):
             expectation_value([1.0, 1.0, 0.0], kcbs_operator_diagonal())
+
+    def test_rejects_nan_operator(self):
+        op = np.diag([math.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="Hermitian"):
+            expectation_value([1.0, 0.0, 0.0], op)
+
+    def test_rejects_nan_state(self):
+        with pytest.raises(InvalidStateError):
+            expectation_value([math.nan, 0.0, 0.0])
+        with pytest.raises(InvalidStateError):
+            concurrence_symmetric([0.0, math.nan, 0.0])
 
     def test_rejects_wrong_operator_shape(self):
         with pytest.raises(ValueError, match="3x3"):
@@ -168,6 +181,12 @@ class TestConcurrence:
         q = Qutrit(0.0, 1.0, 0.0)
         assert concurrence_symmetric(q) == pytest.approx(1.0, abs=1e-15)
 
+    def test_nan_angle_propagates(self):
+        # A NaN angle has no overlap; it must not read as antipodal stars.
+        assert math.isnan(f_function(math.nan, 0.0, 0.0))
+        assert math.isnan(concurrence_function(math.nan, 0.0, 0.0))
+        assert math.isnan(concurrence_function(0.3, 0.2, math.nan))
+
 
 class TestFConcurrenceInversion:
     @pytest.mark.parametrize(
@@ -204,6 +223,11 @@ class TestDeltaPhiForConstantC:
     def test_degenerate_angles(self):
         with pytest.raises(DegenerateAnglesError):
             delta_phi_for_constant_c(0.0, math.pi / 2.0, 0.5)
+
+    @pytest.mark.parametrize("t1, t2", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_nan_angle_rejected(self, t1, t2):
+        with pytest.raises(InfeasiblePhaseError):
+            delta_phi_for_constant_c(t1, t2, 0.3)
 
     def test_consistency_with_concurrence(self):
         rng = np.random.default_rng(11)

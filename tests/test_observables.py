@@ -74,6 +74,12 @@ class TestSpinAlong:
         with pytest.raises(ValueError, match="unit"):
             spin1_along([1.0, 1.0, 0.0])
 
+    def test_rejects_nan_direction(self):
+        with pytest.raises(ValueError, match="unit"):
+            spin1_along([math.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="unit"):
+            a_observable([0.0, 0.0, math.nan])
+
 
 class TestAObservable:
     def test_z_direction(self):
@@ -145,6 +151,15 @@ class TestPentagramFrame:
         frame[0] *= 1.001
         with pytest.raises(ValueError):
             PentagramFrame(frame)
+
+    def test_rejects_nan_frame(self):
+        partly_nan = pentagram_vectors().vectors.copy()
+        partly_nan[2, 1] = math.nan
+        for frame in (np.full((5, 3), math.nan), partly_nan):
+            with pytest.raises(ValueError, match="unit"):
+                PentagramFrame(frame)
+            with pytest.raises(ValueError, match="unit"):
+                kcbs_operator_from_frame(frame)
 
     def test_vectors_read_only(self):
         frame = pentagram_vectors()

@@ -124,6 +124,12 @@ class TestQutrit:
         with pytest.raises(ValueError):
             Qutrit.from_vector([1.0, 0.0])
 
+    def test_rejects_nan_amplitudes(self):
+        with pytest.raises(InvalidStateError):
+            Qutrit(math.nan, 0.0, 0.0)
+        with pytest.raises(InvalidStateError):
+            Qutrit.from_vector([0.0, 1.0, math.nan])
+
 
 class TestOverlapGeometry:
     def test_identical_stars(self):
