@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import Regime, classify_s
+from .classify import REGIME_EDGES, Regime
 from .extremal import (
     chsh_max,
     concurrence_threshold,
@@ -24,18 +24,19 @@ from .extremal import (
     numeric_extremal_search,
     s_min_for_concurrence,
     s_min_from_beta,
+    s_min_of,
 )
 from .measures import (
+    _concurrence_rows,
+    _expectation_rows,
+    _vdot_rows,
     concurrence_function,
-    concurrence_msr,
     concurrence_of_overlap,
-    concurrence_symmetric,
-    expectation_value,
     f_from_concurrence,
-    s_closed_form,
     s_function,
-    s_rational_form,
-    s_via_concurrence,
+    s_of_concurrence,
+    s_of_overlap,
+    s_of_parts,
 )
 from .observables import (
     SPECTRUM_MAX,
@@ -48,17 +49,35 @@ from .observables import (
 )
 from .states import (
     DEFAULT_SEED,
-    BlochAngles,
-    MsrPair,
-    f_value,
-    msr_to_qutrit,
-    overlap_angle,
-    sample_pairs,
+    _overlap_angles,
+    _overlap_parts,
+    _qutrit_rows,
+    _sample_angles,
 )
 
 __all__ = ["CheckResult", "run_all_checks"]
 
 _C_GRID = [k / 10.0 for k in range(11)]
+
+# Star pairs per batch of the sampled checks: memory stays flat in the
+# sample count, and the arrays stay small enough for the CPU caches.
+_CHUNK = 4096
+# Azimuth by which global-phase-invariance turns both stars.
+_PHASE_SHIFT = 0.7
+_CONTEXTUAL = tuple(Regime).index(Regime.CONTEXTUAL_NONLOCAL)
+# The sampled checks that report a largest error, with their tolerances,
+# in the order in which :func:`_chunk_errors` returns the errors.
+_SAMPLED_CHECKS = (
+    ("qutrit-normalization", 1e-12),
+    ("star-swap-symmetry", 1e-12),
+    ("global-phase-invariance", 1e-12),
+    ("f-range-and-overlap-roundtrip", 1e-12),
+    ("s-four-way-equivalence", 1e-12),
+    ("concurrence-equivalence", 1e-12),
+    ("s-and-c-range", 1e-12),
+    ("spectral-containment", 1e-12),
+    ("smin-dominance", 1e-10),
+)
 
 
 @dataclass(frozen=True)
@@ -78,70 +97,57 @@ def _result(name: str, max_error: float, tolerance: float) -> CheckResult:
     return CheckResult(name=name, max_error=float(max_error), tolerance=tolerance)
 
 
-def _check_samples(pairs: list[MsrPair]) -> list[CheckResult]:
-    """Every check on the sampled pairs, in one walk that computes each
-    per-pair value once; results in the order :func:`run_all_checks` splices
-    them in."""
-    norm_err = swap_err = phase_err = f_err = 0.0
-    s_err = c_err = range_err = spectral_err = dom_err = 0.0
-    violations = 0
-    op = kcbs_operator_diagonal()
-    threshold = concurrence_threshold()
-    shift = 0.7
-    for pair in pairs:
-        qutrit = msr_to_qutrit(pair)
-        v = qutrit.vector
-        norm_err = max(norm_err, abs(float(np.vdot(v, v).real) - 1.0))
-        swapped = MsrPair(pair.star2, pair.star1)
-        swap_err = max(
-            swap_err, float(np.max(np.abs(v - msr_to_qutrit(swapped).vector)))
-        )
-        shifted = MsrPair(
-            BlochAngles(pair.star1.theta, pair.star1.phi + shift),
-            BlochAngles(pair.star2.theta, pair.star2.phi + shift),
-        )
-        w = msr_to_qutrit(shifted).vector
-        phase_err = max(
-            phase_err, float(np.max(np.abs(np.abs(v) ** 2 - np.abs(w) ** 2)))
-        )
-        f = f_value(pair)
-        f_err = max(f_err, max(abs(f) - 1.0, 0.0))
-        f_err = max(f_err, abs(math.cos(2.0 * overlap_angle(pair)) - f))
+def _chunk_errors(thetas: np.ndarray, phis: np.ndarray) -> tuple:
+    """The ten sampled checks on one chunk of star angles: the largest error
+    of each of ``_SAMPLED_CHECKS``, then the count of contextual states at
+    or below the threshold concurrence."""
+    t1, t2 = thetas[:, 0], thetas[:, 1]
+    p1, p2 = phis[:, 0], phis[:, 1]
+    v = _qutrit_rows(t1, p1, t2, p2)
+    swapped = _qutrit_rows(t2, p2, t1, p1)
+    # Normalized into [0, 2*pi) as BlochAngles normalizes a turned azimuth.
+    shifted = (phis + _PHASE_SHIFT) % (2.0 * math.pi)
+    w = _qutrit_rows(t1, shifted[:, 0], t2, shifted[:, 1])
+    x, y, f = _overlap_parts(t1, t2, p1 - p2)
+    c = concurrence_of_overlap(f)
+    s = s_of_overlap(f, y)
+    expectation = _expectation_rows(v, kcbs_operator_diagonal())
+    forms = np.stack((s, s_of_parts(x, y), s_of_concurrence(c, y), expectation))
+    lowest, highest = forms.min(axis=0), forms.max(axis=0)
+    contextual = np.digitize(s, REGIME_EDGES) == _CONTEXTUAL
+    errors = (
+        np.abs(_vdot_rows(v, v).real - 1.0),
+        np.abs(v - swapped),
+        np.abs(np.abs(v) ** 2 - np.abs(w) ** 2),
+        np.maximum(np.abs(f) - 1.0, np.abs(np.cos(2.0 * _overlap_angles(f)) - f)),
+        highest - lowest,
+        np.abs(c - _concurrence_rows(v)),
+        np.maximum.reduce(
+            (SPECTRUM_MIN - lowest, highest - SPECTRUM_MAX, -c, c - 1.0)
+        ),
+        np.maximum(SPECTRUM_MIN - expectation, expectation - SPECTRUM_MAX),
+        np.maximum(s_min_of(c) - s, s - SPECTRUM_MAX),
+    )
+    violations = np.count_nonzero(contextual & (c <= concurrence_threshold() - 1e-10))
+    return (*(float(np.max(e, initial=0.0)) for e in errors), violations)
 
-        s = s_closed_form(pair)
-        expectation = expectation_value(qutrit, op)
-        forms = (s, s_rational_form(pair), s_via_concurrence(pair), expectation)
-        c = concurrence_msr(pair)
-        s_err = max(s_err, max(forms) - min(forms))
-        c_err = max(c_err, abs(c - concurrence_symmetric(qutrit)))
-        range_err = max(
-            range_err,
-            SPECTRUM_MIN - min(forms),
-            max(forms) - SPECTRUM_MAX,
-            -c,
-            c - 1.0,
-            0.0,
-        )
-        spectral_err = max(
-            spectral_err, SPECTRUM_MIN - expectation, expectation - SPECTRUM_MAX, 0.0
-        )
-        dom_err = max(dom_err, s_min_for_concurrence(c) - s, s - SPECTRUM_MAX, 0.0)
-        if (
-            classify_s(s) is Regime.CONTEXTUAL_NONLOCAL
-            and c <= threshold - 1e-10
-        ):
-            violations += 1
+
+def _check_samples(thetas: np.ndarray, phis: np.ndarray) -> list[CheckResult]:
+    """Every check on the sampled star angles, batched over chunks of
+    ``_CHUNK`` pairs; results in the order :func:`run_all_checks` splices
+    them in.  Each result is a maximum or a sum over the pairs, so the
+    chunking cannot change it."""
+    per_chunk = [
+        _chunk_errors(thetas[k : k + _CHUNK], phis[k : k + _CHUNK])
+        for k in range(0, len(thetas), _CHUNK)
+    ]
+    *errors, violations = zip(*per_chunk)
     return [
-        _result("qutrit-normalization", norm_err, 1e-12),
-        _result("star-swap-symmetry", swap_err, 1e-12),
-        _result("global-phase-invariance", phase_err, 1e-12),
-        _result("f-range-and-overlap-roundtrip", f_err, 1e-12),
-        _result("s-four-way-equivalence", s_err, 1e-12),
-        _result("concurrence-equivalence", c_err, 1e-12),
-        _result("s-and-c-range", range_err, 1e-12),
-        _result("spectral-containment", spectral_err, 1e-12),
-        _result("smin-dominance", dom_err, 1e-10),
-        _result("contextual-implies-entangled", float(violations), 0.0),
+        *(
+            _result(name, np.max(chunk_errors), tolerance)
+            for (name, tolerance), chunk_errors in zip(_SAMPLED_CHECKS, errors)
+        ),
+        _result("contextual-implies-entangled", float(sum(violations)), 0.0),
     ]
 
 
@@ -267,8 +273,9 @@ def run_all_checks(
     """Run every verification check on ``samples`` seeded random states."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1: got {samples}")
-    pairs = sample_pairs(samples, seed=seed)
-    *head, spectral, dominance, implication = _check_samples(pairs)
+    *head, spectral, dominance, implication = _check_samples(
+        *_sample_angles(samples, seed)
+    )
     return [
         *head,
         _check_concurrence_roundtrip(),

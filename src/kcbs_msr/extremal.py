@@ -51,10 +51,15 @@ LOCAL_BOUND = -SQRT5
 _FEASIBILITY_SLACK = 1e-12
 
 
+def s_min_of(c):
+    """The minimum law (5 - 3 sqrt(5)) c - sqrt(5); floats or numpy arrays."""
+    return (5.0 - 3.0 * SQRT5) * c - SQRT5
+
+
 def s_min_for_concurrence(c: float) -> float:
     """Minimum five-cycle expectation at concurrence ``c``: (5 - 3 sqrt(5)) c - sqrt(5)."""
     _validate_concurrence(c)
-    return (5.0 - 3.0 * SQRT5) * c - SQRT5
+    return s_min_of(c)
 
 
 def s_max_for_concurrence(c: float) -> float:
@@ -76,14 +81,15 @@ def extremal_theta_min(c: float) -> tuple[float, float]:
     return ((math.pi + a) / 2.0, (math.pi - a) / 2.0)
 
 
-def extremal_theta_max(c: float) -> tuple[float, float]:
-    """Stationary theta2 values attaining the constant maximum.
+def extremal_theta_max(c: float) -> float:
+    """Stationary theta2 attaining the constant maximum.
 
-    Both roots +/- arccos((1 - 3c)/(1 + c))/2; the negative root describes
-    the same physical point with the sign of cos(delta_phi) flipped.
+    The root arccos((1 - 3c)/(1 + c))/2 in [0, pi/2]; the companion theta1
+    equals it (see :func:`extremal_witnesses`).  The negative root of the
+    stationarity relation is no polar angle: a star at -theta2 is the star
+    at theta2 with its azimuth turned by pi, so it adds no state.
     """
-    a = math.acos(f_from_concurrence(c))
-    return (a / 2.0, -a / 2.0)
+    return math.acos(f_from_concurrence(c)) / 2.0
 
 
 def extremal_witnesses(
@@ -93,19 +99,17 @@ def extremal_witnesses(
 
     Each theta2 root is paired with the companion theta1 of the
     stationarity relation it solves (theta1 + theta2 = pi for the minimum,
-    |theta1 -/+ theta2| = arccos((1-3c)/(1+c)) for the maximum); both
-    delta_phi in {0, pi} are tried and triples that do not reproduce the
-    concurrence are dropped.  Angles are raw reals: the negative maximum
-    root appears as a negative theta2.
+    theta1 = theta2 for the maximum); both delta_phi in {0, pi} are tried
+    and triples that do not reproduce the concurrence are dropped.  theta1
+    and theta2 lie in [0, pi].
     """
     _validate_objective(objective)
     f_t = f_from_concurrence(c)
-    a = math.acos(f_t)
     if objective == "minimize":
         candidates = [(math.pi - r, r) for r in extremal_theta_min(c)]
     else:
-        r_pos, r_neg = extremal_theta_max(c)
-        candidates = [(a - r_pos, r_pos), (r_neg + a, r_neg)]
+        r = extremal_theta_max(c)
+        candidates = [(r, r)]
     witnesses = []
     for t1, t2 in candidates:
         for dphi in (0.0, math.pi):
@@ -226,8 +230,7 @@ def s_min_from_beta(beta: float) -> float:
     """
     if not 2.0 <= beta <= 2.0 * math.sqrt(2.0):
         raise ValueError(f"beta out of [2, 2*sqrt(2)]: got {beta}")
-    c = math.sqrt(max(0.0, beta * beta - 4.0)) / 2.0
-    return (5.0 - 3.0 * SQRT5) * c - SQRT5
+    return s_min_of(math.sqrt(max(0.0, beta * beta - 4.0)) / 2.0)
 
 
 def concurrence_threshold() -> float:

@@ -29,6 +29,9 @@ import numpy as np
 from .observables import SQRT5, kcbs_operator_diagonal
 from .states import MsrPair, Qutrit, f_function
 
+# Largest imaginary part a real expectation value may carry.
+_HERMITIAN_TOL = 1e-12
+
 __all__ = [
     "DegenerateAnglesError",
     "InfeasiblePhaseError",
@@ -70,17 +73,51 @@ def expectation_value(state, operator=None) -> float:
     if op.shape != (3, 3):
         raise ValueError(f"operator must be 3x3: got shape {op.shape}")
     value = complex(np.vdot(v, op @ v))
-    if not abs(value.imag) <= 1e-12:
-        raise ValueError(
-            f"expectation has non-negligible imaginary part {value.imag}; "
-            "operator is not Hermitian"
-        )
+    if not abs(value.imag) <= _HERMITIAN_TOL:
+        raise _not_hermitian(value.imag)
     return value.real
+
+
+def _not_hermitian(imag) -> ValueError:
+    return ValueError(
+        f"expectation has non-negligible imaginary part {imag}; "
+        "operator is not Hermitian"
+    )
+
+
+def _vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.vdot(a[k], b[k])`` for every row k of two (N, 3) arrays.
+
+    The stacked 1x3 by 3x1 products sum as ``np.vdot`` sums, so each value
+    equals it bit for bit; ``einsum`` sums in another order.
+    """
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _expectation_rows(rows: np.ndarray, operator: np.ndarray) -> np.ndarray:
+    """:func:`expectation_value` of each (N, 3) amplitude row, with its
+    Hermiticity gate on every row."""
+    values = _vdot_rows(rows, (operator @ rows[:, :, None])[:, :, 0])
+    bad = ~(np.abs(values.imag) <= _HERMITIAN_TOL)
+    if bad.any():
+        raise _not_hermitian(values.imag[bad][0])
+    return values.real
 
 
 def s_of_overlap(f, y):
     """S from the overlap f and y = cos t1 cos t2; floats or numpy arrays."""
     return 4.0 * (3.0 * SQRT5 - 5.0) * (y + 1.0) / (f + 3.0) + (5.0 - 4.0 * SQRT5)
+
+
+def s_of_parts(x, y):
+    """S as one rational expression in x = sin t1 sin t2 cos(dphi) and
+    y = cos t1 cos t2; floats or numpy arrays."""
+    return ((5.0 - 4.0 * SQRT5) * x + (8.0 * SQRT5 - 15.0) * y - 5.0) / (x + y + 3.0)
+
+
+def s_of_concurrence(c, y):
+    """S through the concurrence c and y = cos t1 cos t2; floats or numpy arrays."""
+    return (3.0 * SQRT5 - 5.0) * (c + 1.0) * (y + 1.0) + 5.0 - 4.0 * SQRT5
 
 
 def concurrence_of_overlap(f):
@@ -108,8 +145,7 @@ def s_rational_form(pair: MsrPair) -> float:
     """
     t1, t2 = pair.star1.theta, pair.star2.theta
     x = math.sin(t1) * math.sin(t2) * math.cos(pair.delta_phi)
-    y = math.cos(t1) * math.cos(t2)
-    return ((5.0 - 4.0 * SQRT5) * x + (8.0 * SQRT5 - 15.0) * y - 5.0) / (x + y + 3.0)
+    return s_of_parts(x, math.cos(t1) * math.cos(t2))
 
 
 def concurrence_function(theta1: float, theta2: float, delta_phi: float) -> float:
@@ -122,10 +158,36 @@ def concurrence_msr(pair: MsrPair) -> float:
     return concurrence_function(pair.star1.theta, pair.star2.theta, pair.delta_phi)
 
 
+def _amplitude_term(a1, b, a2):
+    """Real and imaginary parts of a1 a2 - b^2 / 2; complex numbers or
+    complex numpy arrays.
+
+    Written in real arithmetic: numpy's complex product over arrays rounds
+    differently from its scalar product and from Python's.
+    """
+    hr, hi = 0.5 * b.real, 0.5 * b.imag
+    return (
+        (a1.real * a2.real - a1.imag * a2.imag) - (hr * b.real - hi * b.imag),
+        (a1.real * a2.imag + a1.imag * a2.real) - (hr * b.imag + hi * b.real),
+    )
+
+
 def concurrence_symmetric(state) -> float:
     """Concurrence 2 |a1 a2 - b^2 / 2| from spin-1 amplitudes (a1, b, a2)."""
-    a1, b, a2 = _as_amplitudes(state)
-    return min(1.0, 2.0 * abs(a1 * a2 - 0.5 * b * b))
+    if not isinstance(state, Qutrit):
+        state = Qutrit.from_vector(state)
+    term = _amplitude_term(state.amp_plus1, state.amp_0, state.amp_minus1)
+    return min(1.0, 2.0 * abs(complex(*term)))
+
+
+def _concurrence_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`concurrence_symmetric` of each (N, 3) amplitude row.
+
+    ``np.hypot`` is the hypot behind Python's complex ``abs``; ``np.abs``
+    of a complex array rounds differently.
+    """
+    term = _amplitude_term(rows[:, 0], rows[:, 1], rows[:, 2])
+    return np.fmin(1.0, 2.0 * np.hypot(*term))
 
 
 def _validate_concurrence(c: float) -> None:
@@ -147,9 +209,8 @@ def s_via_concurrence(pair: MsrPair) -> float:
 
     (3 sqrt(5) - 5)(C + 1)(cos t1 cos t2 + 1) + 5 - 4 sqrt(5).
     """
-    c = concurrence_msr(pair)
     y = math.cos(pair.star1.theta) * math.cos(pair.star2.theta)
-    return (3.0 * SQRT5 - 5.0) * (c + 1.0) * (y + 1.0) + 5.0 - 4.0 * SQRT5
+    return s_of_concurrence(concurrence_msr(pair), y)
 
 
 def delta_phi_for_constant_c(theta1: float, theta2: float, c: float) -> float:

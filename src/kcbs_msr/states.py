@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_SQRT2 = math.sqrt(2.0)
+
+# Largest deviation of |psi|^2 from 1 that a qutrit may show.
+_NORM_TOL = 1e-9
 
 # Default seed for the sphere-uniform sampler used by property checks.
 DEFAULT_SEED = 12345
@@ -93,6 +97,10 @@ class MsrPair:
         return self.star1.phi - self.star2.phi
 
 
+def _not_normalized(norm2) -> InvalidStateError:
+    return InvalidStateError(f"qutrit amplitudes are not normalized: |psi|^2 = {norm2}")
+
+
 @dataclass(frozen=True)
 class Qutrit:
     """Normalized spin-1 amplitudes in the (m = +1, 0, -1) basis."""
@@ -107,10 +115,8 @@ class Qutrit:
             + abs(self.amp_0) ** 2
             + abs(self.amp_minus1) ** 2
         )
-        if not abs(norm2 - 1.0) <= 1e-9:
-            raise InvalidStateError(
-                f"qutrit amplitudes are not normalized: |psi|^2 = {norm2}"
-            )
+        if not abs(norm2 - 1.0) <= _NORM_TOL:
+            raise _not_normalized(norm2)
 
     @classmethod
     def from_vector(cls, vec) -> "Qutrit":
@@ -165,7 +171,7 @@ def msr_to_qutrit(pair: MsrPair) -> Qutrit:
     return Qutrit(
         c1 * c2 / norm,
         (cmath.exp(1j * p1) * s1 * c2 + cmath.exp(1j * p2) * c1 * s2)
-        / math.sqrt(2.0)
+        / _SQRT2
         / norm,
         cmath.exp(1j * (p1 + p2)) * s1 * s2 / norm,
     )
@@ -179,14 +185,77 @@ def overlap_angle(pair: MsrPair) -> float:
     return 0.5 * math.acos(f_value(pair))
 
 
-def sample_pairs(count: int, seed: int = DEFAULT_SEED) -> list[MsrPair]:
-    """Draw ``count`` star pairs uniformly on the sphere (cos(theta) uniform,
-    phi uniform), reproducibly from ``seed``."""
+def _sample_angles(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The star angles of :func:`sample_pairs` as two (count, 2) arrays,
+    ``thetas`` and ``phis``; column 0 is star 1.  Each phi is normalized
+    into [0, 2*pi) as :class:`BlochAngles` normalizes it."""
     if count < 0:
         raise ValueError(f"count must be non-negative: got {count}")
     rng = np.random.default_rng(seed)
     thetas = np.arccos(rng.uniform(-1.0, 1.0, size=(count, 2)))
     phis = rng.uniform(0.0, _TWO_PI, size=(count, 2))
+    np.remainder(phis, _TWO_PI, out=phis)
+    return thetas, phis
+
+
+def _overlap_parts(theta1, theta2, delta_phi):
+    """x = sin t1 sin t2 cos(dphi), y = cos t1 cos t2 and the clamped overlap
+    f = x + y over angle arrays, in the float operations of
+    :func:`f_function`."""
+    x = np.sin(theta1) * np.sin(theta2) * np.cos(delta_phi)
+    y = np.cos(theta1) * np.cos(theta2)
+    return x, y, np.clip(x + y, -1.0, 1.0)
+
+
+def _overlap_angles(f) -> np.ndarray:
+    """:func:`overlap_angle` of each overlap in the array ``f``.
+
+    ``math.acos`` per value: ``np.arccos`` rounds differently on some inputs.
+    """
+    return 0.5 * np.fromiter(map(math.acos, f), float, count=len(f))
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` of qutrit amplitudes, each held to the :class:`Qutrit` unit-norm gate.
+
+    ``np.hypot``, not ``np.abs``, which rounds complex moduli differently
+    from Python's ``abs``, so that a rejected row reports the |psi|^2 that
+    ``Qutrit`` reports.
+    """
+    mod2 = np.hypot(rows.real, rows.imag) ** 2
+    norm2 = mod2[:, 0] + mod2[:, 1] + mod2[:, 2]
+    bad = ~(np.abs(norm2 - 1.0) <= _NORM_TOL)
+    if bad.any():
+        raise _not_normalized(norm2[bad][0])
+    return rows
+
+
+def _qutrit_rows(theta1, phi1, theta2, phi2) -> np.ndarray:
+    """:func:`msr_to_qutrit` over angle arrays: (N, 3) complex amplitude rows.
+
+    Each phi must already be normalized into [0, 2*pi), as in a
+    :class:`BlochAngles`.  Written in real and imaginary parts in the float
+    operations of the scalar builder, so every row equals
+    ``msr_to_qutrit(pair).vector`` bit for bit: numpy's complex products and
+    its complex-by-real quotients round differently from Python's.
+    """
+    c1, s1 = np.cos(0.5 * theta1), np.sin(0.5 * theta1)
+    c2, s2 = np.cos(0.5 * theta2), np.sin(0.5 * theta2)
+    norm = np.sqrt((_overlap_parts(theta1, theta2, phi1 - phi2)[2] + 3.0) / 4.0)
+    rows = np.empty((len(c1), 3), dtype=complex)
+    rows.real[:, 0] = c1 * c2 / norm
+    rows.imag[:, 0] = 0.0
+    rows.real[:, 1] = (np.cos(phi1) * s1 * c2 + np.cos(phi2) * c1 * s2) / _SQRT2 / norm
+    rows.imag[:, 1] = (np.sin(phi1) * s1 * c2 + np.sin(phi2) * c1 * s2) / _SQRT2 / norm
+    rows.real[:, 2] = np.cos(phi1 + phi2) * s1 * s2 / norm
+    rows.imag[:, 2] = np.sin(phi1 + phi2) * s1 * s2 / norm
+    return _unit_rows(rows)
+
+
+def sample_pairs(count: int, seed: int = DEFAULT_SEED) -> list[MsrPair]:
+    """Draw ``count`` star pairs uniformly on the sphere (cos(theta) uniform,
+    phi uniform), reproducibly from ``seed``."""
+    thetas, phis = _sample_angles(count, seed)
     return [
         MsrPair.from_angles(thetas[k, 0], phis[k, 0], thetas[k, 1], phis[k, 1])
         for k in range(count)

@@ -1,0 +1,248 @@
+"""The batched routes behind ``verify`` against their scalar counterparts.
+
+``verify`` prints four digits of a maximum, so these tests are what pin
+each batched route to its scalar route: every comparison is ``==``, never
+approximate.  The scalar walk the batched checks replaced is kept here as
+their reference.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from kcbs_msr import checks
+from kcbs_msr.checks import _check_samples, run_all_checks
+from kcbs_msr.classify import Regime, classify_s
+from kcbs_msr.extremal import concurrence_threshold, s_min_for_concurrence, s_min_of
+from kcbs_msr.measures import (
+    _concurrence_rows,
+    _expectation_rows,
+    _vdot_rows,
+    concurrence_msr,
+    concurrence_of_overlap,
+    concurrence_symmetric,
+    expectation_value,
+    s_closed_form,
+    s_of_concurrence,
+    s_of_overlap,
+    s_of_parts,
+    s_rational_form,
+    s_via_concurrence,
+)
+from kcbs_msr.observables import SPECTRUM_MAX, SPECTRUM_MIN, kcbs_operator_diagonal
+from kcbs_msr.states import (
+    DEFAULT_SEED,
+    BlochAngles,
+    InvalidStateError,
+    MsrPair,
+    Qutrit,
+    _overlap_angles,
+    _overlap_parts,
+    _qutrit_rows,
+    _sample_angles,
+    _unit_rows,
+    f_value,
+    msr_to_qutrit,
+    overlap_angle,
+    sample_pairs,
+)
+
+PI = math.pi
+UNDER_TWO_PI = math.nextafter(2.0 * PI, 0.0)
+
+# (theta1, phi1, theta2, phi2) at the edges of the parameter space.
+EDGE_ANGLES = [
+    # a star at a pole
+    (0.0, 0.0, 0.0, 0.0),
+    (PI, 0.0, PI, 0.0),
+    (0.0, 1.3, PI, 4.0),
+    (0.0, 2.0, 1.2, 5.5),
+    (PI, 0.3, 2.1, 3.3),
+    # coincident stars
+    (1.1, 2.5, 1.1, 2.5),
+    (PI / 2, 0.0, PI / 2, 0.0),
+    # antipodal stars: theta2 = pi - theta1, delta_phi = pi
+    (1.1, 0.4, PI - 1.1, 0.4 + PI),
+    (0.3, 5.0, PI - 0.3, 5.0 - PI),
+    (PI / 2, 0.0, PI / 2, PI),
+    # an azimuth just under 2 pi
+    (0.7, UNDER_TWO_PI, 2.2, 0.1),
+    (1.9, UNDER_TWO_PI, 2.9, UNDER_TWO_PI),
+]
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    rows = sample_pairs(2000) + [MsrPair.from_angles(*a) for a in EDGE_ANGLES]
+    return rows + [MsrPair(p.star2, p.star1) for p in rows]
+
+
+@pytest.fixture(scope="module")
+def angles(pairs):
+    thetas = np.array([[p.star1.theta, p.star2.theta] for p in pairs])
+    phis = np.array([[p.star1.phi, p.star2.phi] for p in pairs])
+    return thetas, phis
+
+
+@pytest.fixture(scope="module")
+def rows(angles):
+    thetas, phis = angles
+    return _qutrit_rows(thetas[:, 0], phis[:, 0], thetas[:, 1], phis[:, 1])
+
+
+@pytest.fixture(scope="module")
+def parts(angles):
+    thetas, phis = angles
+    return _overlap_parts(thetas[:, 0], thetas[:, 1], phis[:, 0] - phis[:, 1])
+
+
+def scalar(fn, items):
+    return np.array([fn(item) for item in items])
+
+
+@pytest.mark.parametrize("count, seed", [(0, DEFAULT_SEED), (1, 3), (500, 7)])
+def test_sampler_matches_sample_pairs(count, seed):
+    thetas, phis = _sample_angles(count, seed)
+    pairs = sample_pairs(count, seed)
+    assert pairs == [
+        MsrPair.from_angles(thetas[k, 0], phis[k, 0], thetas[k, 1], phis[k, 1])
+        for k in range(count)
+    ]
+    # The sampler normalizes phi as BlochAngles does.
+    assert [p.star1.phi for p in pairs] == phis[:, 0].tolist()
+    assert [p.star2.phi for p in pairs] == phis[:, 1].tolist()
+
+
+def test_amplitude_rows(pairs, rows):
+    assert np.array_equal(rows, scalar(lambda p: msr_to_qutrit(p).vector, pairs))
+
+
+def test_overlap_and_its_angle(pairs, parts):
+    _, _, f = parts
+    assert np.array_equal(f, scalar(f_value, pairs))
+    assert np.array_equal(_overlap_angles(f), scalar(overlap_angle, pairs))
+
+
+def test_s_forms_and_concurrence(pairs, parts):
+    x, y, f = parts
+    c = concurrence_of_overlap(f)
+    assert np.array_equal(c, scalar(concurrence_msr, pairs))
+    assert np.array_equal(s_of_overlap(f, y), scalar(s_closed_form, pairs))
+    assert np.array_equal(s_of_parts(x, y), scalar(s_rational_form, pairs))
+    assert np.array_equal(s_of_concurrence(c, y), scalar(s_via_concurrence, pairs))
+    assert np.array_equal(s_min_of(c), scalar(s_min_for_concurrence, c))
+
+
+def test_matrix_expectation_and_norm(rows):
+    op = kcbs_operator_diagonal()
+    qutrits = [Qutrit.from_vector(v) for v in rows]
+    assert np.array_equal(
+        _expectation_rows(rows, op), scalar(lambda q: expectation_value(q, op), qutrits)
+    )
+    assert np.array_equal(_vdot_rows(rows, rows), scalar(lambda v: np.vdot(v, v), rows))
+
+
+def test_amplitude_concurrence(rows):
+    assert np.array_equal(
+        _concurrence_rows(rows),
+        scalar(lambda v: concurrence_symmetric(Qutrit.from_vector(v)), rows),
+    )
+
+
+def scalar_walk(pairs):
+    """The sampled checks as one loop over star pairs through the scalar
+    public functions: (name, max_error) in the order of _check_samples."""
+    norm_err = swap_err = phase_err = f_err = 0.0
+    s_err = c_err = range_err = spectral_err = dom_err = 0.0
+    violations = 0
+    op = kcbs_operator_diagonal()
+    for pair in pairs:
+        qutrit = msr_to_qutrit(pair)
+        v = qutrit.vector
+        norm_err = max(norm_err, abs(float(np.vdot(v, v).real) - 1.0))
+        swapped = msr_to_qutrit(MsrPair(pair.star2, pair.star1)).vector
+        swap_err = max(swap_err, float(np.max(np.abs(v - swapped))))
+        w = msr_to_qutrit(
+            MsrPair(
+                BlochAngles(pair.star1.theta, pair.star1.phi + 0.7),
+                BlochAngles(pair.star2.theta, pair.star2.phi + 0.7),
+            )
+        ).vector
+        phase_err = max(
+            phase_err, float(np.max(np.abs(np.abs(v) ** 2 - np.abs(w) ** 2)))
+        )
+        f = f_value(pair)
+        f_err = max(f_err, abs(f) - 1.0, abs(math.cos(2.0 * overlap_angle(pair)) - f))
+        s = s_closed_form(pair)
+        expectation = expectation_value(qutrit, op)
+        forms = (s, s_rational_form(pair), s_via_concurrence(pair), expectation)
+        c = concurrence_msr(pair)
+        s_err = max(s_err, max(forms) - min(forms))
+        c_err = max(c_err, abs(c - concurrence_symmetric(qutrit)))
+        range_err = max(
+            range_err, SPECTRUM_MIN - min(forms), max(forms) - SPECTRUM_MAX, -c, c - 1.0
+        )
+        spectral_err = max(
+            spectral_err, SPECTRUM_MIN - expectation, expectation - SPECTRUM_MAX
+        )
+        dom_err = max(dom_err, s_min_for_concurrence(c) - s, s - SPECTRUM_MAX)
+        if (
+            classify_s(s) is Regime.CONTEXTUAL_NONLOCAL
+            and c <= concurrence_threshold() - 1e-10
+        ):
+            violations += 1
+    names = [name for name, _ in checks._SAMPLED_CHECKS]
+    errors = [norm_err, swap_err, phase_err, f_err, s_err, c_err, range_err,
+              spectral_err, dom_err]
+    return [*zip(names, errors), ("contextual-implies-entangled", float(violations))]
+
+
+@pytest.mark.parametrize("chunk", [checks._CHUNK, 1000, 7])
+def test_sampled_checks_match_the_scalar_walk(pairs, angles, chunk, monkeypatch):
+    monkeypatch.setattr(checks, "_CHUNK", chunk)
+    batched = [(r.name, r.max_error) for r in _check_samples(*angles)]
+    assert batched == scalar_walk(pairs)
+
+
+@pytest.mark.parametrize("broken", [1.1, math.nan])
+def test_amplitude_gate_rejects_a_row_as_qutrit_does(rows, broken):
+    bad = rows.copy()
+    bad[5] *= broken
+    with pytest.raises(InvalidStateError) as batched:
+        _unit_rows(bad)
+    with pytest.raises(InvalidStateError) as single:
+        Qutrit.from_vector(bad[5])
+    assert str(batched.value) == str(single.value)
+    assert str(batched.value).startswith("qutrit amplitudes are not normalized")
+
+
+def test_expectation_gate_rejects_as_expectation_value_does(rows):
+    non_hermitian = np.diag([1j, 0.0, 0.0])
+    nan_entry = kcbs_operator_diagonal()
+    nan_entry[0, 0] = math.nan
+    for op in (non_hermitian, nan_entry):
+        with pytest.raises(ValueError, match="not Hermitian") as batched:
+            _expectation_rows(rows, op)
+        with pytest.raises(ValueError, match="not Hermitian") as single:
+            expectation_value(rows[0], op)
+        assert str(batched.value) == str(single.value)
+    nan_row = rows.copy()
+    nan_row[3] = math.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _expectation_rows(nan_row, kcbs_operator_diagonal())
+
+
+def test_sampled_checks_memory_is_bounded():
+    # The sampled angles take 6.4 MB at 200 k pairs; the checks' own
+    # arrays must not grow with the sample count.
+    tracemalloc.start()
+    try:
+        results = run_all_checks(samples=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 23
+    assert all(r.passed for r in results)
+    assert peak < 20 * 2**20

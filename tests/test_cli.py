@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import kcbs_msr
-from kcbs_msr import checks
+from kcbs_msr import checks, states
 from kcbs_msr.cli import main
 
 # The child interpreter imports the same package as these tests.
@@ -100,13 +100,12 @@ discrepancy = 2.137e-08
 result: PASS (tolerance 1e-06)
 """
 
-# The second maximum witness is the negative theta2 root, printed as is.
+# One maximum witness: the negative theta2 root names no further state.
 EXTREMAL_MAX_03 = """\
 concurrence = 0.3
 objective = maximize
 S_closed = -0.527864045
 witness: theta1 = 0.746898593069, theta2 = 0.746898593069, delta_phi = 3.14159265359
-witness: theta1 = 0.746898593069, theta2 = -0.746898593069, delta_phi = 0
 S_numeric = -0.527864049539
 numeric witness: theta1 = 0.746898595119, theta2 = 0.746898595119, delta_phi = 3.14145956875
 discrepancy = 4.538e-09
@@ -285,11 +284,11 @@ class TestVerify:
     @pytest.mark.parametrize(
         "route, delta, check",
         [
-            ("s_rational_form", 1e-9, "s-four-way-equivalence"),
-            ("concurrence_symmetric", 1e-9, "concurrence-equivalence"),
-            ("overlap_angle", 1e-6, "f-range-and-overlap-roundtrip"),
-            ("expectation_value", 1.0, "spectral-containment"),
-            ("s_closed_form", -1.0, "smin-dominance"),
+            ("s_of_parts", 1e-9, "s-four-way-equivalence"),
+            ("_concurrence_rows", 1e-9, "concurrence-equivalence"),
+            ("_overlap_angles", 1e-6, "f-range-and-overlap-roundtrip"),
+            ("_expectation_rows", 1.0, "spectral-containment"),
+            ("s_of_overlap", -1.0, "smin-dominance"),
         ],
     )
     def test_broken_route_fails_its_check(self, route, delta, check, monkeypatch,
@@ -303,6 +302,22 @@ class TestVerify:
         failed_line = out.splitlines()[-1]
         assert failed_line.startswith("FAILED: ")
         assert check in failed_line[len("FAILED: "):].split(", ")
+
+    @pytest.mark.parametrize("factor", [1.1, float("nan")])
+    def test_broken_amplitude_rows_fail_the_norm_gate(self, factor, monkeypatch,
+                                                      capsys):
+        original = states._unit_rows
+
+        def broken(rows):
+            rows = rows.copy()
+            rows[0] *= factor
+            return original(rows)
+
+        monkeypatch.setattr(states, "_unit_rows", broken)
+        code, out, err = run_cli("verify", "--samples", "20", capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: qutrit amplitudes are not normalized: |psi|^2 = ")
 
 
 class TestGoldenStdout:

@@ -72,13 +72,21 @@ class TestThetaSets:
         assert roots[1] == pytest.approx(math.pi / 4.0, abs=1e-12)
 
     def test_max_set_examples(self):
-        assert extremal_theta_max(0.0) == pytest.approx((0.0, 0.0), abs=1e-12)
+        assert extremal_theta_max(0.0) == pytest.approx(0.0, abs=1e-12)
         assert extremal_theta_max(1.0 / 3.0) == pytest.approx(
-            (math.pi / 4.0, -math.pi / 4.0), abs=1e-12
+            math.pi / 4.0, abs=1e-12
         )
         assert extremal_theta_max(1.0) == pytest.approx(
-            (math.pi / 2.0, -math.pi / 2.0), abs=1e-12
+            math.pi / 2.0, abs=1e-12
         )
+
+    def test_witnesses_are_polar_angles(self):
+        # eval and classify accept every printed witness.
+        for c in C_GRID:
+            for objective in ("minimize", "maximize"):
+                for t1, t2, _ in extremal_witnesses(c, objective):
+                    assert 0.0 <= t1 <= math.pi
+                    assert 0.0 <= t2 <= math.pi
 
     def test_witness_tightness(self):
         for c in C_GRID:
