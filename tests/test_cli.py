@@ -88,6 +88,22 @@ amp(0) = -0.537133975402+0.258830486398i
 amp(-1) = -0.640315144827-0.102287621548i
 """
 
+# A star at each pole: the zero amplitude prints as 0+0i, with no minus sign.
+POLE_STATE = ("--theta1", "0", "--theta2", "3.141592653589793", "--phi1", "1",
+              "--phi2", "2")
+
+EVAL_POLES = """\
+theta1 = 0
+theta2 = 3.14159265359
+delta_phi = -1
+S = -3.94427191
+C = 1
+regime = ContextualNonlocal
+amp(+1) = 8.65956056235e-17+0i
+amp(0) = -0.416146836547+0.909297426826i
+amp(-1) = 0+0i
+"""
+
 EXTREMAL_MIN_03 = """\
 concurrence = 0.3
 objective = minimize
@@ -328,6 +344,7 @@ class TestGoldenStdout:
             (("verify", "--samples", "200", "--seed", "7"), VERIFY_200_SEED_7),
             (("eval", *GENERIC_STATE), EVAL_GENERIC),
             (("classify", *GENERIC_STATE), CLASSIFY_GENERIC),
+            (("eval", *POLE_STATE), EVAL_POLES),
             (
                 ("extremal", "--concurrence", "0.3", "--method", "both",
                  "--objective", "min"),
@@ -339,8 +356,8 @@ class TestGoldenStdout:
                 EXTREMAL_MAX_03,
             ),
         ],
-        ids=["verify", "verify-seed-7", "eval", "classify", "extremal-min",
-             "extremal-max"],
+        ids=["verify", "verify-seed-7", "eval", "classify", "eval-poles",
+             "extremal-min", "extremal-max"],
     )
     def test_stdout(self, argv, expected, capsys):
         code, out, err = run_cli(*argv, capsys=capsys)
