@@ -112,15 +112,16 @@ def _chunk_errors(thetas: np.ndarray, phis: np.ndarray) -> tuple:
     c = concurrence_of_overlap(f)
     s = s_of_overlap(f, y)
     expectation = _expectation_rows(v, kcbs_operator_diagonal())
-    forms = np.stack((s, s_of_parts(x, y), s_of_concurrence(c, y), expectation))
-    lowest, highest = forms.min(axis=0), forms.max(axis=0)
+    # The closed forms only: the matrix expectation's range is spectral-containment's.
+    closed = np.stack((s, s_of_parts(x, y), s_of_concurrence(c, y)))
+    lowest, highest = closed.min(axis=0), closed.max(axis=0)
     contextual = np.digitize(s, REGIME_EDGES) == _CONTEXTUAL
     errors = (
         np.abs(_vdot_rows(v, v).real - 1.0),
         np.abs(v - swapped),
         np.abs(np.abs(v) ** 2 - np.abs(w) ** 2),
         np.maximum(np.abs(f) - 1.0, np.abs(np.cos(2.0 * _overlap_angles(f)) - f)),
-        highest - lowest,
+        np.maximum(highest, expectation) - np.minimum(lowest, expectation),
         np.abs(c - _concurrence_rows(v)),
         np.maximum.reduce(
             (SPECTRUM_MIN - lowest, highest - SPECTRUM_MAX, -c, c - 1.0)

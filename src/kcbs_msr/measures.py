@@ -18,6 +18,13 @@ Amplitude-level concurrence: for normalized amplitudes (a1, b, a2) in the
 (m = +1, 0, -1) basis the value is 2 |a1 a2 - b^2 / 2|.  The b^2/2 term is
 what makes the formula vanish on every product state and agree with the
 star-overlap form above.
+
+Each formula is written once and works on floats or numpy arrays
+(``s_of_overlap``, ``s_of_parts``, ``s_of_concurrence``,
+``concurrence_of_overlap``) or on (N, 3) amplitude rows
+(``_expectation_rows``, ``_concurrence_rows``).  The public scalar
+functions are 1-row calls of these, on x, y and f from
+``states._overlap_parts``, and return Python floats.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import math
 import numpy as np
 
 from .observables import SQRT5, kcbs_operator_diagonal
-from .states import MsrPair, Qutrit, f_function
+from .states import MsrPair, Qutrit, _one_row, _overlap_parts, f_function
 
 # Largest imaginary part a real expectation value may carry.
 _HERMITIAN_TOL = 1e-12
@@ -68,21 +75,10 @@ def expectation_value(state, operator=None) -> float:
     ``state`` may be a :class:`Qutrit` or any normalized 3-vector of complex
     amplitudes; ``operator`` defaults to the diagonal five-cycle operator.
     """
-    v = _as_amplitudes(state)
     op = kcbs_operator_diagonal() if operator is None else np.asarray(operator)
     if op.shape != (3, 3):
         raise ValueError(f"operator must be 3x3: got shape {op.shape}")
-    value = complex(np.vdot(v, op @ v))
-    if not abs(value.imag) <= _HERMITIAN_TOL:
-        raise _not_hermitian(value.imag)
-    return value.real
-
-
-def _not_hermitian(imag) -> ValueError:
-    return ValueError(
-        f"expectation has non-negligible imaginary part {imag}; "
-        "operator is not Hermitian"
-    )
+    return _expectation_rows(_as_amplitudes(state)[None, :], op).item()
 
 
 def _vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,7 +96,10 @@ def _expectation_rows(rows: np.ndarray, operator: np.ndarray) -> np.ndarray:
     values = _vdot_rows(rows, (operator @ rows[:, :, None])[:, :, 0])
     bad = ~(np.abs(values.imag) <= _HERMITIAN_TOL)
     if bad.any():
-        raise _not_hermitian(values.imag[bad][0])
+        raise ValueError(
+            f"expectation has non-negligible imaginary part {values.imag[bad][0]}; "
+            "operator is not Hermitian"
+        )
     return values.real
 
 
@@ -125,10 +124,15 @@ def concurrence_of_overlap(f):
     return (1.0 - f) / (3.0 + f)
 
 
+def _pair_parts(pair: MsrPair):
+    """x, y and f of one star pair as 1-element arrays."""
+    return _overlap_parts(*_one_row(pair.star1.theta, pair.star2.theta, pair.delta_phi))
+
+
 def s_function(theta1: float, theta2: float, delta_phi: float) -> float:
     """Five-cycle expectation S of the raw star angles (closed form)."""
-    f = f_function(theta1, theta2, delta_phi)
-    return s_of_overlap(f, math.cos(theta1) * math.cos(theta2))
+    _, y, f = _overlap_parts(*_one_row(theta1, theta2, delta_phi))
+    return s_of_overlap(f, y).item()
 
 
 def s_closed_form(pair: MsrPair) -> float:
@@ -143,9 +147,8 @@ def s_rational_form(pair: MsrPair) -> float:
     with X = sin t1 sin t2 cos(dphi) and Y = cos t1 cos t2.  Algebraically
     identical to :func:`s_closed_form`.
     """
-    t1, t2 = pair.star1.theta, pair.star2.theta
-    x = math.sin(t1) * math.sin(t2) * math.cos(pair.delta_phi)
-    return s_of_parts(x, math.cos(t1) * math.cos(t2))
+    x, y, _ = _pair_parts(pair)
+    return s_of_parts(x, y).item()
 
 
 def concurrence_function(theta1: float, theta2: float, delta_phi: float) -> float:
@@ -158,36 +161,23 @@ def concurrence_msr(pair: MsrPair) -> float:
     return concurrence_function(pair.star1.theta, pair.star2.theta, pair.delta_phi)
 
 
-def _amplitude_term(a1, b, a2):
-    """Real and imaginary parts of a1 a2 - b^2 / 2; complex numbers or
-    complex numpy arrays.
-
-    Written in real arithmetic: numpy's complex product over arrays rounds
-    differently from its scalar product and from Python's.
-    """
-    hr, hi = 0.5 * b.real, 0.5 * b.imag
-    return (
-        (a1.real * a2.real - a1.imag * a2.imag) - (hr * b.real - hi * b.imag),
-        (a1.real * a2.imag + a1.imag * a2.real) - (hr * b.imag + hi * b.real),
-    )
-
-
 def concurrence_symmetric(state) -> float:
     """Concurrence 2 |a1 a2 - b^2 / 2| from spin-1 amplitudes (a1, b, a2)."""
-    if not isinstance(state, Qutrit):
-        state = Qutrit.from_vector(state)
-    term = _amplitude_term(state.amp_plus1, state.amp_0, state.amp_minus1)
-    return min(1.0, 2.0 * abs(complex(*term)))
+    return _concurrence_rows(_as_amplitudes(state)[None, :]).item()
 
 
 def _concurrence_rows(rows: np.ndarray) -> np.ndarray:
     """:func:`concurrence_symmetric` of each (N, 3) amplitude row.
 
-    ``np.hypot`` is the hypot behind Python's complex ``abs``; ``np.abs``
-    of a complex array rounds differently.
+    a1 a2 - b^2 / 2 is written in real arithmetic, and its modulus taken
+    with ``np.hypot``, the hypot behind Python's complex ``abs``: numpy's
+    complex products and ``np.abs`` round differently from Python's.
     """
-    term = _amplitude_term(rows[:, 0], rows[:, 1], rows[:, 2])
-    return np.fmin(1.0, 2.0 * np.hypot(*term))
+    a1, b, a2 = rows[:, 0], rows[:, 1], rows[:, 2]
+    hr, hi = 0.5 * b.real, 0.5 * b.imag
+    re = (a1.real * a2.real - a1.imag * a2.imag) - (hr * b.real - hi * b.imag)
+    im = (a1.real * a2.imag + a1.imag * a2.real) - (hr * b.imag + hi * b.real)
+    return np.fmin(1.0, 2.0 * np.hypot(re, im))
 
 
 def _validate_concurrence(c: float) -> None:
@@ -209,8 +199,8 @@ def s_via_concurrence(pair: MsrPair) -> float:
 
     (3 sqrt(5) - 5)(C + 1)(cos t1 cos t2 + 1) + 5 - 4 sqrt(5).
     """
-    y = math.cos(pair.star1.theta) * math.cos(pair.star2.theta)
-    return s_of_concurrence(concurrence_msr(pair), y)
+    _, y, f = _pair_parts(pair)
+    return s_of_concurrence(concurrence_of_overlap(f), y).item()
 
 
 def delta_phi_for_constant_c(theta1: float, theta2: float, c: float) -> float:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .classify import REGIME_EDGES, Regime
 from .measures import concurrence_of_overlap, s_of_overlap
+from .states import _overlap_parts
 
 __all__ = [
     "ScanConfig",
@@ -105,8 +106,8 @@ def _evaluate(theta1, theta2, delta_phi):
     The code indexes ``_LABELS``: 0 for S < -3, 1 for -3 <= S < -sqrt(5)
     and 2 otherwise, the half-open bands of ``classify_s``.
     """
-    f = np.sin(theta1) * np.sin(theta2) * np.cos(delta_phi) + np.cos(theta1) * np.cos(theta2)
-    s = s_of_overlap(f, np.cos(theta1) * np.cos(theta2))
+    _, y, f = _overlap_parts(theta1, theta2, delta_phi)
+    s = s_of_overlap(f, y)
     return s, concurrence_of_overlap(f), np.digitize(s, REGIME_EDGES)
 
 

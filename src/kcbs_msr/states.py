@@ -15,6 +15,11 @@ depends on.  The qutrit amplitudes in the (m = +1, 0, -1) basis are
 
 with ck = cos(tk/2), sk = sin(tk/2) and N^2 = (f + 3)/4.  Since f >= -1,
 N^2 >= 1/2 and the normalization never degenerates.
+
+Each formula is written once, over numpy arrays of angles: the row
+functions ``_overlap_parts``, ``_qutrit_rows`` and ``_overlap_angles``.
+The public scalar functions (``f_function``, ``msr_to_qutrit``,
+``overlap_angle``) are 1-row calls of them, returning Python numbers.
 """
 
 from __future__ import annotations
@@ -97,10 +102,6 @@ class MsrPair:
         return self.star1.phi - self.star2.phi
 
 
-def _not_normalized(norm2) -> InvalidStateError:
-    return InvalidStateError(f"qutrit amplitudes are not normalized: |psi|^2 = {norm2}")
-
-
 @dataclass(frozen=True)
 class Qutrit:
     """Normalized spin-1 amplitudes in the (m = +1, 0, -1) basis."""
@@ -110,13 +111,7 @@ class Qutrit:
     amp_minus1: complex
 
     def __post_init__(self) -> None:
-        norm2 = (
-            abs(self.amp_plus1) ** 2
-            + abs(self.amp_0) ** 2
-            + abs(self.amp_minus1) ** 2
-        )
-        if not abs(norm2 - 1.0) <= _NORM_TOL:
-            raise _not_normalized(norm2)
+        _unit_rows(self.vector[None, :])
 
     @classmethod
     def from_vector(cls, vec) -> "Qutrit":
@@ -138,14 +133,10 @@ def f_function(theta1: float, theta2: float, delta_phi: float) -> float:
     """Star-overlap function of the raw angles, clamped into [-1, 1].
 
     The clamp only removes floating-point excursions of a few ulps;
-    mathematically the value always lies in [-1, 1].  A NaN angle gives NaN:
-    the clamp compares, which NaN fails, where ``max(-1.0, nan)`` would
-    return -1, antipodal stars.
+    mathematically the value always lies in [-1, 1].  A NaN or infinite
+    angle gives NaN (an infinite one with numpy's invalid-value warning).
     """
-    raw = math.sin(theta1) * math.sin(theta2) * math.cos(delta_phi) + math.cos(
-        theta1
-    ) * math.cos(theta2)
-    return -1.0 if raw < -1.0 else (1.0 if raw > 1.0 else raw)
+    return _overlap_parts(*_one_row(theta1, theta2, delta_phi))[2].item()
 
 
 def f_value(pair: MsrPair) -> float:
@@ -163,18 +154,9 @@ def norm_squared(pair: MsrPair) -> float:
 
 def msr_to_qutrit(pair: MsrPair) -> Qutrit:
     """Effective-qutrit amplitudes of the symmetric state with the given stars."""
-    t1, p1 = pair.star1.theta, pair.star1.phi
-    t2, p2 = pair.star2.theta, pair.star2.phi
-    c1, s1 = math.cos(0.5 * t1), math.sin(0.5 * t1)
-    c2, s2 = math.cos(0.5 * t2), math.sin(0.5 * t2)
-    norm = math.sqrt(norm_squared(pair))
-    return Qutrit(
-        c1 * c2 / norm,
-        (cmath.exp(1j * p1) * s1 * c2 + cmath.exp(1j * p2) * c1 * s2)
-        / _SQRT2
-        / norm,
-        cmath.exp(1j * (p1 + p2)) * s1 * s2 / norm,
-    )
+    star1, star2 = pair.star1, pair.star2
+    row = _qutrit_rows(*_one_row(star1.theta, star1.phi, star2.theta, star2.phi))
+    return Qutrit(*row[0].tolist())
 
 
 def overlap_angle(pair: MsrPair) -> float:
@@ -182,7 +164,13 @@ def overlap_angle(pair: MsrPair) -> float:
 
     Defined through f = cos(2 * overlap_angle).
     """
-    return 0.5 * math.acos(f_value(pair))
+    return _overlap_angles([f_value(pair)]).item()
+
+
+def _one_row(*values) -> np.ndarray:
+    """``values`` as 1-element float arrays, one per value, so that a row
+    function evaluates a single point: ``_overlap_parts(*_one_row(t1, t2, dphi))``."""
+    return np.array(values, dtype=float)[:, None]
 
 
 def _sample_angles(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,16 +187,15 @@ def _sample_angles(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _overlap_parts(theta1, theta2, delta_phi):
-    """x = sin t1 sin t2 cos(dphi), y = cos t1 cos t2 and the clamped overlap
-    f = x + y over angle arrays, in the float operations of
-    :func:`f_function`."""
+    """x = sin t1 sin t2 cos(dphi), y = cos t1 cos t2 and the overlap
+    f = x + y clamped into [-1, 1], over broadcast angle arrays."""
     x = np.sin(theta1) * np.sin(theta2) * np.cos(delta_phi)
     y = np.cos(theta1) * np.cos(theta2)
     return x, y, np.clip(x + y, -1.0, 1.0)
 
 
 def _overlap_angles(f) -> np.ndarray:
-    """:func:`overlap_angle` of each overlap in the array ``f``.
+    """Half the arccosine of each overlap in ``f``: :func:`overlap_angle` over rows.
 
     ``math.acos`` per value: ``np.arccos`` rounds differently on some inputs.
     """
@@ -216,17 +203,15 @@ def _overlap_angles(f) -> np.ndarray:
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """``rows`` of qutrit amplitudes, each held to the :class:`Qutrit` unit-norm gate.
-
-    ``np.hypot``, not ``np.abs``, which rounds complex moduli differently
-    from Python's ``abs``, so that a rejected row reports the |psi|^2 that
-    ``Qutrit`` reports.
-    """
+    """``rows`` of qutrit amplitudes, each held to the unit-norm gate of
+    :class:`Qutrit`: |psi|^2 within ``_NORM_TOL`` of 1, NaN failing."""
     mod2 = np.hypot(rows.real, rows.imag) ** 2
     norm2 = mod2[:, 0] + mod2[:, 1] + mod2[:, 2]
     bad = ~(np.abs(norm2 - 1.0) <= _NORM_TOL)
     if bad.any():
-        raise _not_normalized(norm2[bad][0])
+        raise InvalidStateError(
+            f"qutrit amplitudes are not normalized: |psi|^2 = {norm2[bad][0]}"
+        )
     return rows
 
 
@@ -234,10 +219,11 @@ def _qutrit_rows(theta1, phi1, theta2, phi2) -> np.ndarray:
     """:func:`msr_to_qutrit` over angle arrays: (N, 3) complex amplitude rows.
 
     Each phi must already be normalized into [0, 2*pi), as in a
-    :class:`BlochAngles`.  Written in real and imaginary parts in the float
-    operations of the scalar builder, so every row equals
-    ``msr_to_qutrit(pair).vector`` bit for bit: numpy's complex products and
-    its complex-by-real quotients round differently from Python's.
+    :class:`BlochAngles`.  Written in real and imaginary parts, so that each
+    amplitude rounds as Python's complex arithmetic rounds the formula of the
+    module docstring; numpy's complex products and complex-by-real quotients
+    round differently.  Adding 0.0 turns the -0.0 parts of an amplitude that
+    vanishes at a pole into +0.0, so that it prints as 0, not -0.
     """
     c1, s1 = np.cos(0.5 * theta1), np.sin(0.5 * theta1)
     c2, s2 = np.cos(0.5 * theta2), np.sin(0.5 * theta2)
@@ -249,7 +235,7 @@ def _qutrit_rows(theta1, phi1, theta2, phi2) -> np.ndarray:
     rows.imag[:, 1] = (np.sin(phi1) * s1 * c2 + np.sin(phi2) * c1 * s2) / _SQRT2 / norm
     rows.real[:, 2] = np.cos(phi1 + phi2) * s1 * s2 / norm
     rows.imag[:, 2] = np.sin(phi1 + phi2) * s1 * s2 / norm
-    return _unit_rows(rows)
+    return _unit_rows(rows + 0.0)
 
 
 def sample_pairs(count: int, seed: int = DEFAULT_SEED) -> list[MsrPair]:

@@ -1,9 +1,11 @@
-"""The batched routes behind ``verify`` against their scalar counterparts.
+"""The row functions behind ``verify`` and the scalar routes that wrap them.
 
-``verify`` prints four digits of a maximum, so these tests are what pin
-each batched route to its scalar route: every comparison is ``==``, never
-approximate.  The scalar walk the batched checks replaced is kept here as
-their reference.
+Each scalar public route is a 1-row call of a row function, so the two
+cannot disagree on a value; these tests pin what the wrapping could still
+change (the bits of an amplitude, the Python return type) and what the
+rows do on their own (the gates, the sums of ``_vdot_rows``, chunking and
+memory).  The per-pair walk the batched checks replaced is kept here as
+their reference: every comparison is ``==``, never approximate.
 """
 
 import math
@@ -15,19 +17,16 @@ import pytest
 from kcbs_msr import checks
 from kcbs_msr.checks import _check_samples, run_all_checks
 from kcbs_msr.classify import Regime, classify_s
-from kcbs_msr.extremal import concurrence_threshold, s_min_for_concurrence, s_min_of
+from kcbs_msr.extremal import concurrence_threshold, s_min_for_concurrence
 from kcbs_msr.measures import (
-    _concurrence_rows,
     _expectation_rows,
     _vdot_rows,
+    concurrence_function,
     concurrence_msr,
-    concurrence_of_overlap,
     concurrence_symmetric,
     expectation_value,
     s_closed_form,
-    s_of_concurrence,
-    s_of_overlap,
-    s_of_parts,
+    s_function,
     s_rational_form,
     s_via_concurrence,
 )
@@ -38,11 +37,10 @@ from kcbs_msr.states import (
     InvalidStateError,
     MsrPair,
     Qutrit,
-    _overlap_angles,
-    _overlap_parts,
     _qutrit_rows,
     _sample_angles,
     _unit_rows,
+    f_function,
     f_value,
     msr_to_qutrit,
     overlap_angle,
@@ -92,14 +90,14 @@ def rows(angles):
     return _qutrit_rows(thetas[:, 0], phis[:, 0], thetas[:, 1], phis[:, 1])
 
 
-@pytest.fixture(scope="module")
-def parts(angles):
-    thetas, phis = angles
-    return _overlap_parts(thetas[:, 0], thetas[:, 1], phis[:, 0] - phis[:, 1])
-
-
 def scalar(fn, items):
     return np.array([fn(item) for item in items])
+
+
+def bits(values):
+    """The IEEE bit patterns of float or complex values, so that ``==``
+    also tells -0.0 from +0.0."""
+    return np.ascontiguousarray(values).view(np.uint64)
 
 
 @pytest.mark.parametrize("count, seed", [(0, DEFAULT_SEED), (1, 3), (500, 7)])
@@ -116,39 +114,46 @@ def test_sampler_matches_sample_pairs(count, seed):
 
 
 def test_amplitude_rows(pairs, rows):
-    assert np.array_equal(rows, scalar(lambda p: msr_to_qutrit(p).vector, pairs))
-
-
-def test_overlap_and_its_angle(pairs, parts):
-    _, _, f = parts
-    assert np.array_equal(f, scalar(f_value, pairs))
-    assert np.array_equal(_overlap_angles(f), scalar(overlap_angle, pairs))
-
-
-def test_s_forms_and_concurrence(pairs, parts):
-    x, y, f = parts
-    c = concurrence_of_overlap(f)
-    assert np.array_equal(c, scalar(concurrence_msr, pairs))
-    assert np.array_equal(s_of_overlap(f, y), scalar(s_closed_form, pairs))
-    assert np.array_equal(s_of_parts(x, y), scalar(s_rational_form, pairs))
-    assert np.array_equal(s_of_concurrence(c, y), scalar(s_via_concurrence, pairs))
-    assert np.array_equal(s_min_of(c), scalar(s_min_for_concurrence, c))
+    # msr_to_qutrit is a 1-row call of _qutrit_rows: it must keep every bit
+    # of its row, and no vanishing part prints as -0.
+    single = scalar(lambda p: msr_to_qutrit(p).vector, pairs)
+    assert np.array_equal(bits(single), bits(rows))
+    parts = rows.view(float)
+    assert not np.any((parts == 0.0) & np.signbit(parts))
 
 
 def test_matrix_expectation_and_norm(rows):
-    op = kcbs_operator_diagonal()
-    qutrits = [Qutrit.from_vector(v) for v in rows]
-    assert np.array_equal(
-        _expectation_rows(rows, op), scalar(lambda q: expectation_value(q, op), qutrits)
-    )
-    assert np.array_equal(_vdot_rows(rows, rows), scalar(lambda v: np.vdot(v, v), rows))
+    # _vdot_rows sums as np.vdot sums, for the norm and for <psi|K|psi>.
+    k_rows = (kcbs_operator_diagonal() @ rows[:, :, None])[:, :, 0]
+    for other in (rows, k_rows):
+        expected = [np.vdot(v, w) for v, w in zip(rows, other)]
+        assert np.array_equal(bits(_vdot_rows(rows, other)), bits(expected))
 
 
-def test_amplitude_concurrence(rows):
-    assert np.array_equal(
-        _concurrence_rows(rows),
-        scalar(lambda v: concurrence_symmetric(Qutrit.from_vector(v)), rows),
-    )
+ANGLES = (1.1, 2.3, -2.5)
+PAIR = MsrPair.from_angles(1.1, 0.4, 2.3, 2.9)
+SCALAR_ROUTES = {
+    "f_function": lambda: f_function(*ANGLES),
+    "s_function": lambda: s_function(*ANGLES),
+    "s_closed_form": lambda: s_closed_form(PAIR),
+    "s_rational_form": lambda: s_rational_form(PAIR),
+    "s_via_concurrence": lambda: s_via_concurrence(PAIR),
+    "concurrence_function": lambda: concurrence_function(*ANGLES),
+    "expectation_value": lambda: expectation_value(msr_to_qutrit(PAIR)),
+    "concurrence_symmetric": lambda: concurrence_symmetric(msr_to_qutrit(PAIR)),
+    "overlap_angle": lambda: overlap_angle(PAIR),
+}
+
+
+@pytest.mark.parametrize("route", SCALAR_ROUTES)
+def test_scalar_route_returns_a_python_float(route):
+    # A numpy scalar would show as np.float64(...) in a repr.
+    assert type(SCALAR_ROUTES[route]()) is float
+
+
+def test_amplitudes_are_python_complex():
+    q = msr_to_qutrit(PAIR)
+    assert [type(a) for a in (q.amp_plus1, q.amp_0, q.amp_minus1)] == [complex] * 3
 
 
 def scalar_walk(pairs):
@@ -181,8 +186,9 @@ def scalar_walk(pairs):
         c = concurrence_msr(pair)
         s_err = max(s_err, max(forms) - min(forms))
         c_err = max(c_err, abs(c - concurrence_symmetric(qutrit)))
+        closed = forms[:3]
         range_err = max(
-            range_err, SPECTRUM_MIN - min(forms), max(forms) - SPECTRUM_MAX, -c, c - 1.0
+            range_err, SPECTRUM_MIN - min(closed), max(closed) - SPECTRUM_MAX, -c, c - 1.0
         )
         spectral_err = max(
             spectral_err, SPECTRUM_MIN - expectation, expectation - SPECTRUM_MAX
@@ -199,11 +205,16 @@ def scalar_walk(pairs):
     return [*zip(names, errors), ("contextual-implies-entangled", float(violations))]
 
 
+@pytest.fixture(scope="module")
+def walk(pairs):
+    return scalar_walk(pairs)
+
+
 @pytest.mark.parametrize("chunk", [checks._CHUNK, 1000, 7])
-def test_sampled_checks_match_the_scalar_walk(pairs, angles, chunk, monkeypatch):
+def test_sampled_checks_match_the_scalar_walk(angles, walk, chunk, monkeypatch):
     monkeypatch.setattr(checks, "_CHUNK", chunk)
     batched = [(r.name, r.max_error) for r in _check_samples(*angles)]
-    assert batched == scalar_walk(pairs)
+    assert batched == walk
 
 
 @pytest.mark.parametrize("broken", [1.1, math.nan])

@@ -315,6 +315,9 @@ class TestVerify:
         assert code == 2
         rows = {line.split()[0]: line for line in out.splitlines()}
         assert rows[check].endswith("  FAIL")
+        if route == "_expectation_rows":
+            # The matrix expectation's range is spectral-containment's alone.
+            assert rows["s-and-c-range"].endswith("  PASS")
         failed_line = out.splitlines()[-1]
         assert failed_line.startswith("FAILED: ")
         assert check in failed_line[len("FAILED: "):].split(", ")
