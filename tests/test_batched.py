@@ -90,10 +90,6 @@ def rows(angles):
     return _qutrit_rows(thetas[:, 0], phis[:, 0], thetas[:, 1], phis[:, 1])
 
 
-def scalar(fn, items):
-    return np.array([fn(item) for item in items])
-
-
 def bits(values):
     """The IEEE bit patterns of float or complex values, so that ``==``
     also tells -0.0 from +0.0."""
@@ -116,7 +112,7 @@ def test_sampler_matches_sample_pairs(count, seed):
 def test_amplitude_rows(pairs, rows):
     # msr_to_qutrit is a 1-row call of _qutrit_rows: it must keep every bit
     # of its row, and no vanishing part prints as -0.
-    single = scalar(lambda p: msr_to_qutrit(p).vector, pairs)
+    single = np.array([msr_to_qutrit(p).vector for p in pairs])
     assert np.array_equal(bits(single), bits(rows))
     parts = rows.view(float)
     assert not np.any((parts == 0.0) & np.signbit(parts))
