@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from kcbs_msr import (
@@ -20,6 +21,14 @@ from kcbs_msr import (
     s_min_from_beta,
     sample_pairs,
 )
+from kcbs_msr import observables
+from kcbs_msr.checks import _C_GRID
+from kcbs_msr.extremal import (
+    _FEASIBILITY_SLACK,
+    ExtremalResult,
+    _validate_objective,
+)
+from kcbs_msr.measures import _validate_concurrence, f_from_concurrence
 
 SQRT5 = math.sqrt(5.0)
 C_GRID = [k / 10.0 for k in range(11)]
@@ -141,6 +150,96 @@ class TestNumericSearch:
             numeric_extremal_search(0.5, "minimize", grid_n=8)
         with pytest.raises(ValueError):
             numeric_extremal_search(0.5, "minimize", refine_iters=-1)
+
+
+def reference_search(c, objective="minimize", grid_n=128, refine_iters=8):
+    """The grid search as it was before its refine stages were pruned: every
+    stage tests all grid_n x grid_n cells.  Kept verbatim as the reference
+    that numeric_extremal_search must equal bit for bit."""
+    _validate_concurrence(c)
+    _validate_objective(objective)
+    if grid_n < 16:
+        raise ValueError(f"grid_n must be at least 16: got {grid_n}")
+    if refine_iters < 0:
+        raise ValueError(f"refine_iters must be non-negative: got {refine_iters}")
+
+    f_t = f_from_concurrence(c)
+    s_coef = 4.0 * (3.0 * observables.SQRT5 - 5.0) / (f_t + 3.0)
+    s_const = 5.0 - 4.0 * observables.SQRT5
+    minimizing = objective == "minimize"
+
+    def stage(lo1, hi1, lo2, hi2):
+        ax1 = lo1 + (np.arange(grid_n) + 0.5) * (hi1 - lo1) / grid_n
+        ax2 = lo2 + (np.arange(grid_n) + 0.5) * (hi2 - lo2) / grid_n
+        t1, t2 = np.meshgrid(ax1, ax2, indexing="ij")
+        feasible = (np.cos(t1 + t2) <= f_t + _FEASIBILITY_SLACK) & (
+            np.cos(t1 - t2) >= f_t - _FEASIBILITY_SLACK
+        )
+        if not feasible.any():
+            return None
+        s = s_coef * (np.cos(t1) * np.cos(t2) + 1.0) + s_const
+        if minimizing:
+            flat = np.where(feasible, s, np.inf)
+            k = int(np.argmin(flat))
+        else:
+            flat = np.where(feasible, s, -np.inf)
+            k = int(np.argmax(flat))
+        i, j = divmod(k, grid_n)
+        return float(s[i, j]), float(t1[i, j]), float(t2[i, j])
+
+    best = stage(0.0, math.pi, 0.0, math.pi)
+    if best is None:
+        raise RuntimeError(f"no feasible grid cell for concurrence {c}")
+    half = math.pi / grid_n
+    for _ in range(refine_iters):
+        _, t1, t2 = best
+        candidate = stage(
+            max(0.0, t1 - half),
+            min(math.pi, t1 + half),
+            max(0.0, t2 - half),
+            min(math.pi, t2 + half),
+        )
+        if candidate is not None:
+            better = candidate[0] <= best[0] if minimizing else candidate[0] >= best[0]
+            if better:
+                best = candidate
+        half *= 0.25
+
+    s_star, t1, t2 = best
+    cos_dphi = (f_t - math.cos(t1) * math.cos(t2)) / (math.sin(t1) * math.sin(t2))
+    delta_phi = math.acos(min(1.0, max(-1.0, cos_dphi)))
+    return ExtremalResult(s_star, t1, t2, delta_phi, objective)
+
+
+# c at the ends of [0, 1], the smallest subnormal and the threshold 1/sqrt(5).
+EDGE_C = [0.0, 5e-324, 1.0 / SQRT5, math.nextafter(1.0, 0.0), 1.0]
+SEEDED_C = np.random.default_rng(20231).uniform(0.0, 1.0, 200).tolist()
+
+
+class TestSearchAgainstReference:
+    @pytest.mark.parametrize("grid_n, refine_iters", [(128, 8), (16, 0), (33, 3)])
+    @pytest.mark.parametrize("objective", ["minimize", "maximize"])
+    def test_equal_to_the_full_grid_search(self, objective, grid_n, refine_iters):
+        for c in _C_GRID + EDGE_C + SEEDED_C:
+            found = numeric_extremal_search(c, objective, grid_n, refine_iters)
+            assert found == reference_search(c, objective, grid_n, refine_iters), c
+
+    @pytest.mark.parametrize(
+        "c, objective, grid_n, refine_iters",
+        [
+            # every refine stage ties the first stage's best value
+            (0.0, "minimize", 33, 3),
+            (1.0, "maximize", 33, 3),
+            # every refine stage finds only worse feasible cells
+            (0.8130192582033445, "minimize", 24, 3),
+            (0.6726210902105313, "maximize", 24, 3),
+        ],
+    )
+    def test_no_refine_stage_improves(self, c, objective, grid_n, refine_iters):
+        first = reference_search(c, objective, grid_n, 0)
+        found = numeric_extremal_search(c, objective, grid_n, refine_iters)
+        assert found == reference_search(c, objective, grid_n, refine_iters)
+        assert found.s_star == first.s_star
 
 
 class TestDominance:
