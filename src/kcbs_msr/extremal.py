@@ -153,56 +153,74 @@ def numeric_extremal_search(
     feasibility of a cell is exactly |cos(delta_phi)| <= 1, which is
     evaluated in the well-conditioned equivalent form
     cos(theta1 + theta2) <= f <= cos(theta1 - theta2).
+
+    A refine stage tests feasibility only on the cells whose S is no worse
+    than the best found so far, and cos(theta1 - theta2) only where the
+    cos(theta1 + theta2) test passed.  The result is that of testing every
+    cell: a worse cell could never replace the best, and every cell with
+    the stage's extreme value is tested, so the lowest-index tie-break
+    holds.
     """
-    _validate_concurrence(c)
+    f_t = f_from_concurrence(c)
     _validate_objective(objective)
     if grid_n < 16:
         raise ValueError(f"grid_n must be at least 16: got {grid_n}")
     if refine_iters < 0:
         raise ValueError(f"refine_iters must be non-negative: got {refine_iters}")
 
-    f_t = f_from_concurrence(c)
     # Own affine S: an oracle shares no code with measures; its rounding picks the printed witness.
     s_coef = 4.0 * (3.0 * SQRT5 - 5.0) / (f_t + 3.0)
     s_const = 5.0 - 4.0 * SQRT5
     minimizing = objective == "minimize"
+    no_worse = np.less_equal if minimizing else np.greater_equal
+    pick = np.argmin if minimizing else np.argmax
+    worst = math.inf if minimizing else -math.inf
 
-    def stage(lo1, hi1, lo2, hi2):
-        ax1 = lo1 + (np.arange(grid_n) + 0.5) * (hi1 - lo1) / grid_n
-        ax2 = lo2 + (np.arange(grid_n) + 0.5) * (hi2 - lo2) / grid_n
-        t1, t2 = np.meshgrid(ax1, ax2, indexing="ij")
-        feasible = (np.cos(t1 + t2) <= f_t + _FEASIBILITY_SLACK) & (
-            np.cos(t1 - t2) >= f_t - _FEASIBILITY_SLACK
-        )
-        if not feasible.any():
+    # Work arrays shared by the stages: a stage allocates no grid-sized temporary.
+    centers = np.arange(grid_n) + 0.5
+    s_work = np.empty((grid_n, grid_n))
+    cos_sum = np.empty((grid_n, grid_n))
+    keep = np.empty((grid_n, grid_n), dtype=bool)
+
+    def stage(lo1, hi1, lo2, hi2, bound):
+        ax1 = lo1 + centers * (hi1 - lo1) / grid_n
+        ax2 = lo2 + centers * (hi2 - lo2) / grid_n
+        # s_coef * (cos t1 cos t2 + 1.0) + s_const, one step at a time in place.
+        s = np.multiply(np.cos(ax1)[:, None], np.cos(ax2), out=s_work)
+        s += 1.0
+        s *= s_coef
+        s += s_const
+        no_worse(s, bound, out=keep)
+        col1 = ax1[:, None]
+        np.add(col1, ax2, out=cos_sum, where=keep)
+        np.cos(cos_sum, out=cos_sum, where=keep)
+        np.less_equal(cos_sum, f_t + _FEASIBILITY_SLACK, out=keep, where=keep)
+        np.subtract(col1, ax2, out=cos_sum, where=keep)
+        np.cos(cos_sum, out=cos_sum, where=keep)
+        np.greater_equal(cos_sum, f_t - _FEASIBILITY_SLACK, out=keep, where=keep)
+        if not keep.any():
             return None
-        s = s_coef * (np.cos(t1) * np.cos(t2) + 1.0) + s_const
-        if minimizing:
-            flat = np.where(feasible, s, np.inf)
-            k = int(np.argmin(flat))
-        else:
-            flat = np.where(feasible, s, -np.inf)
-            k = int(np.argmax(flat))
-        i, j = divmod(k, grid_n)
-        return float(s[i, j]), float(t1[i, j]), float(t2[i, j])
+        np.logical_not(keep, out=keep)  # now the cells that cannot win
+        np.copyto(s, worst, where=keep)
+        i, j = divmod(int(pick(s)), grid_n)
+        return float(s[i, j]), float(ax1[i]), float(ax2[j])
 
-    best = stage(0.0, math.pi, 0.0, math.pi)
+    best = stage(0.0, math.pi, 0.0, math.pi, worst)
     if best is None:
         # Every concurrence in [0, 1] is attainable, so this is defensive.
         raise RuntimeError(f"no feasible grid cell for concurrence {c}")
     half = math.pi / grid_n
     for _ in range(refine_iters):
-        _, t1, t2 = best
+        s_best, t1, t2 = best
         candidate = stage(
             max(0.0, t1 - half),
             min(math.pi, t1 + half),
             max(0.0, t2 - half),
             min(math.pi, t2 + half),
+            s_best,
         )
         if candidate is not None:
-            better = candidate[0] <= best[0] if minimizing else candidate[0] >= best[0]
-            if better:
-                best = candidate
+            best = candidate
         half *= 0.25
 
     s_star, t1, t2 = best

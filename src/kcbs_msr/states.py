@@ -17,9 +17,11 @@ with ck = cos(tk/2), sk = sin(tk/2) and N^2 = (f + 3)/4.  Since f >= -1,
 N^2 >= 1/2 and the normalization never degenerates.
 
 Each formula is written once, over numpy arrays of angles: the row
-functions ``_overlap_parts``, ``_qutrit_rows`` and ``_overlap_angles``.
+functions ``_overlap_parts``, ``_amplitude_rows`` and ``_overlap_angles``.
 The public scalar functions (``f_function``, ``msr_to_qutrit``,
 ``overlap_angle``) are 1-row calls of them, returning Python numbers.
+The unit-norm gate ``_unit_rows`` runs once on each path: in
+``_qutrit_rows`` for a batch of rows, in :class:`Qutrit` for one state.
 """
 
 from __future__ import annotations
@@ -149,13 +151,14 @@ def norm_squared(pair: MsrPair) -> float:
 
     Always in [1/2, 1].
     """
-    return (f_value(pair) + 3.0) / 4.0
+    return _norm_squared(f_value(pair))
 
 
 def msr_to_qutrit(pair: MsrPair) -> Qutrit:
     """Effective-qutrit amplitudes of the symmetric state with the given stars."""
     star1, star2 = pair.star1, pair.star2
-    row = _qutrit_rows(*_one_row(star1.theta, star1.phi, star2.theta, star2.phi))
+    row = _amplitude_rows(*_one_row(star1.theta, star1.phi, star2.theta, star2.phi))
+    # Qutrit holds its amplitudes to the unit-norm gate of _qutrit_rows.
     return Qutrit(*row[0].tolist())
 
 
@@ -202,6 +205,11 @@ def _overlap_angles(f) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.acos, f), float, count=len(f))
 
 
+def _norm_squared(f):
+    """N^2 = (f + 3)/4 of overlap values ``f``; floats or numpy arrays."""
+    return (f + 3.0) / 4.0
+
+
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """``rows`` of qutrit amplitudes, each held to the unit-norm gate of
     :class:`Qutrit`: |psi|^2 within ``_NORM_TOL`` of 1, NaN failing."""
@@ -216,18 +224,27 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _qutrit_rows(theta1, phi1, theta2, phi2) -> np.ndarray:
-    """:func:`msr_to_qutrit` over angle arrays: (N, 3) complex amplitude rows.
+    """:func:`msr_to_qutrit` over angle arrays: (N, 3) complex amplitude rows,
+    held to the unit-norm gate of :class:`Qutrit`.
 
     Each phi must already be normalized into [0, 2*pi), as in a
-    :class:`BlochAngles`.  Written in real and imaginary parts, so that each
-    amplitude rounds as Python's complex arithmetic rounds the formula of the
-    module docstring; numpy's complex products and complex-by-real quotients
-    round differently.  Adding 0.0 turns the -0.0 parts of an amplitude that
+    :class:`BlochAngles`.
+    """
+    return _unit_rows(_amplitude_rows(theta1, phi1, theta2, phi2))
+
+
+def _amplitude_rows(theta1, phi1, theta2, phi2) -> np.ndarray:
+    """The rows of :func:`_qutrit_rows` before the unit-norm gate.
+
+    Written in real and imaginary parts, so that each amplitude rounds as
+    Python's complex arithmetic rounds the formula of the module docstring;
+    numpy's complex products and complex-by-real quotients round
+    differently.  Adding 0.0 turns the -0.0 parts of an amplitude that
     vanishes at a pole into +0.0, so that it prints as 0, not -0.
     """
     c1, s1 = np.cos(0.5 * theta1), np.sin(0.5 * theta1)
     c2, s2 = np.cos(0.5 * theta2), np.sin(0.5 * theta2)
-    norm = np.sqrt((_overlap_parts(theta1, theta2, phi1 - phi2)[2] + 3.0) / 4.0)
+    norm = np.sqrt(_norm_squared(_overlap_parts(theta1, theta2, phi1 - phi2)[2]))
     rows = np.empty((len(c1), 3), dtype=complex)
     rows.real[:, 0] = c1 * c2 / norm
     rows.imag[:, 0] = 0.0
@@ -235,7 +252,7 @@ def _qutrit_rows(theta1, phi1, theta2, phi2) -> np.ndarray:
     rows.imag[:, 1] = (np.sin(phi1) * s1 * c2 + np.sin(phi2) * c1 * s2) / _SQRT2 / norm
     rows.real[:, 2] = np.cos(phi1 + phi2) * s1 * s2 / norm
     rows.imag[:, 2] = np.sin(phi1 + phi2) * s1 * s2 / norm
-    return _unit_rows(rows + 0.0)
+    return rows + 0.0
 
 
 def sample_pairs(count: int, seed: int = DEFAULT_SEED) -> list[MsrPair]:
