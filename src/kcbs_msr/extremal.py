@@ -154,12 +154,12 @@ def numeric_extremal_search(
     evaluated in the well-conditioned equivalent form
     cos(theta1 + theta2) <= f <= cos(theta1 - theta2).
 
-    A refine stage tests feasibility only on the cells whose S is no worse
-    than the best found so far, and cos(theta1 - theta2) only where the
-    cos(theta1 + theta2) test passed.  The result is that of testing every
-    cell: a worse cell could never replace the best, and every cell with
-    the stage's extreme value is tested, so the lowest-index tie-break
-    holds.
+    Each refine stage tests feasibility only on the cells whose S is no
+    worse than the best found so far (the first stage tests every cell),
+    and evaluates cos(theta1 - theta2) only where the cos(theta1 + theta2)
+    test passed.  The result is that of testing every cell: a worse cell
+    could never replace the best, and every cell holding the stage's
+    extreme value is tested, so the lowest-index tie-break holds.
     """
     f_t = f_from_concurrence(c)
     _validate_objective(objective)
@@ -179,7 +179,7 @@ def numeric_extremal_search(
     # Work arrays shared by the stages: a stage allocates no grid-sized temporary.
     centers = np.arange(grid_n) + 0.5
     s_work = np.empty((grid_n, grid_n))
-    cos_sum = np.empty((grid_n, grid_n))
+    cos_work = np.empty((grid_n, grid_n))
     keep = np.empty((grid_n, grid_n), dtype=bool)
 
     def stage(lo1, hi1, lo2, hi2, bound):
@@ -192,12 +192,12 @@ def numeric_extremal_search(
         s += s_const
         no_worse(s, bound, out=keep)
         col1 = ax1[:, None]
-        np.add(col1, ax2, out=cos_sum, where=keep)
-        np.cos(cos_sum, out=cos_sum, where=keep)
-        np.less_equal(cos_sum, f_t + _FEASIBILITY_SLACK, out=keep, where=keep)
-        np.subtract(col1, ax2, out=cos_sum, where=keep)
-        np.cos(cos_sum, out=cos_sum, where=keep)
-        np.greater_equal(cos_sum, f_t - _FEASIBILITY_SLACK, out=keep, where=keep)
+        np.add(col1, ax2, out=cos_work, where=keep)
+        np.cos(cos_work, out=cos_work, where=keep)
+        np.less_equal(cos_work, f_t + _FEASIBILITY_SLACK, out=keep, where=keep)
+        np.subtract(col1, ax2, out=cos_work, where=keep)
+        np.cos(cos_work, out=cos_work, where=keep)
+        np.greater_equal(cos_work, f_t - _FEASIBILITY_SLACK, out=keep, where=keep)
         if not keep.any():
             return None
         np.logical_not(keep, out=keep)  # now the cells that cannot win
@@ -205,7 +205,7 @@ def numeric_extremal_search(
         i, j = divmod(int(pick(s)), grid_n)
         return float(s[i, j]), float(ax1[i]), float(ax2[j])
 
-    best = stage(0.0, math.pi, 0.0, math.pi, worst)
+    best = stage(0.0, math.pi, 0.0, math.pi, worst)  # no bound: every cell is tested
     if best is None:
         # Every concurrence in [0, 1] is attainable, so this is defensive.
         raise RuntimeError(f"no feasible grid cell for concurrence {c}")

@@ -21,7 +21,6 @@ from kcbs_msr import (
     s_min_from_beta,
     sample_pairs,
 )
-from kcbs_msr import observables
 from kcbs_msr.checks import _C_GRID
 from kcbs_msr.extremal import (
     _FEASIBILITY_SLACK,
@@ -164,8 +163,8 @@ def reference_search(c, objective="minimize", grid_n=128, refine_iters=8):
         raise ValueError(f"refine_iters must be non-negative: got {refine_iters}")
 
     f_t = f_from_concurrence(c)
-    s_coef = 4.0 * (3.0 * observables.SQRT5 - 5.0) / (f_t + 3.0)
-    s_const = 5.0 - 4.0 * observables.SQRT5
+    s_coef = 4.0 * (3.0 * SQRT5 - 5.0) / (f_t + 3.0)
+    s_const = 5.0 - 4.0 * SQRT5
     minimizing = objective == "minimize"
 
     def stage(lo1, hi1, lo2, hi2):
