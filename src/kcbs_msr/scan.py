@@ -13,16 +13,24 @@ significant digits, so a fixed configuration yields byte-identical files.
 
 ``write_scan`` streams: it evaluates and writes one theta1 slab at a time,
 the resolution^2 cells of one theta1 with theta2 outer and delta_phi inner,
-slabs in increasing theta1, so memory stays flat in the resolution.  The
-slabs go to a temporary file next to the target, which replaces the target
-only once the scan is complete.  ``compute_scan`` and the renderers hold the
-same grid in memory as records, for small resolutions and for tests.
+slabs in increasing theta1, so memory stays flat in the resolution.  Within
+a slab it fills one text template per theta2 row, whose resolution cells
+format s and c with ``%.12g`` in the same ``%`` that copies them in, so it
+holds O(resolution) template strings.  JSON writes ``repr(float(text))``
+of the ``%.12g`` text; the two can differ only for values that are
+non-finite, 1e5 or more in magnitude, or within 1e-6 of an integer (an
+integer text gains ".0", and subnormals lie within 1e-6 of 0), so the cells
+with such an s or c take their JSON text through ``%s`` instead.  The slabs go to a temporary file
+next to the target, which replaces the target only once the scan is
+complete.  ``compute_scan`` and the renderers hold the same grid in memory
+as records, for small resolutions and for tests.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +69,10 @@ class ScanConfig:
     output_format: str = "csv"
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.resolution)
+        except TypeError:
+            raise TypeError(f"resolution must be an integer: got {self.resolution!r}") from None
         if self.resolution < 2:
             raise ValueError(f"resolution must be at least 2: got {self.resolution}")
         if self.output_format not in OUTPUT_FORMATS:
@@ -167,6 +179,19 @@ def _json_numbers(values) -> list[str]:
     return list(map(repr, map(float, _csv_numbers(values))))
 
 
+def _json_differs(values: np.ndarray) -> np.ndarray:
+    """True where ``_json_numbers`` may differ from the ``%.12g`` text.
+
+    For a finite value below 1e5 in magnitude they differ only where the
+    value is subnormal or the text is an integer, which JSON writes with
+    ".0"; both lie within 1e-6 of an integer (an integer text is at most
+    5e-8 away, having 7 decimals to round at).  ``fmin`` maps NaN, the
+    infinities and every magnitude from 1e5 up to 1e5, itself an integer.
+    """
+    a = np.fmin(np.abs(values), 1e5)
+    return np.abs(a - np.rint(a)) <= 1e-6
+
+
 def write_scan(config: ScanConfig) -> ScanSummary:
     """Run the scan and write it to the configured path, slab by slab.
 
@@ -177,39 +202,55 @@ def write_scan(config: ScanConfig) -> ScanSummary:
     """
     th = theta_centers(config.resolution)
     dp = dphi_centers(config.resolution)
-    # A record is a per-slab head (theta1) and a per-cell template (theta2,
-    # delta_phi) with slots for s, c and the regime label; every angle is
-    # formatted once.
+    # A theta2 row is a head (theta1, theta2) before each of the resolution
+    # cells (delta_phi, then s, c and the regime label as slots); one % fills
+    # a row, formatting s and c with %.12g.  Every angle is formatted once.
     if config.output_format == "csv":
         numbers = _csv_numbers
         opening, separator, closing = CSV_HEADER + "\n", "\n", "\n"
-        head, cell = "{},", "{},{},%s,%s,%s"
+        head, cell = "{},{},", "{},%.12g,%.12g,%s"
     else:
         numbers = _json_numbers
         opening, separator, closing = "[", ",", "]\n"
-        head, cell = '{{"theta1":{},', '"theta2":{},"delta_phi":{},"s":%s,"c":%s,"regime":"%s"}}'
+        head, cell = '{{"theta1":{},"theta2":{},', '"delta_phi":{},"s":%.12g,"c":%.12g,"regime":"%s"}}'
     th_text = numbers(th.tolist())
-    heads = [head.format(t) for t in th_text]
-    cells = [cell.format(a, b) for a in th_text for b in numbers(dp.tolist())]
+    dp_text = numbers(dp.tolist())
+    cells = [cell.format(d) for d in dp_text]
+    # A cell whose s or c JSON writes differently takes their text through %s.
+    text_cells = [c.replace("%.12g", "%s") for c in cells]
     counts = np.zeros(len(_LABELS), dtype=np.int64)
+    width = 3 * len(cells)
     path = Path(config.output_path)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as out:
             out.write(opening)
-            for i, slab_head in enumerate(heads):
+            for i, t1 in enumerate(th_text):
                 s, c, code = _evaluate(th[i], th[:, None], dp[None, :])
                 code = code.ravel()
                 counts += np.bincount(code, minlength=len(_LABELS))
                 slots = [None] * (3 * code.size)
-                slots[0::3] = numbers(s.ravel().tolist())
-                slots[1::3] = numbers(c.ravel().tolist())
+                slots[0::3] = s.ravel().tolist()
+                slots[1::3] = c.ravel().tolist()
                 slots[2::3] = _LABELS[code].tolist()
-                template = slab_head + (separator + slab_head).join(cells)
-                if i:
-                    out.write(separator)
-                out.write(template % tuple(slots))
+                text_at = {}  # theta2 row -> its cells that take s and c as text
+                if config.output_format == "json":
+                    for j, k in np.argwhere(_json_differs(s) | _json_differs(c)).tolist():
+                        text_at.setdefault(j, []).append(k)
+                        at = j * width + 3 * k
+                        slots[at : at + 2] = _json_numbers(slots[at : at + 2])
+                for j, t2 in enumerate(th_text):
+                    row_head = head.format(t1, t2)
+                    row_cells = cells
+                    if j in text_at:
+                        row_cells = list(cells)
+                        for k in text_at[j]:
+                            row_cells[k] = text_cells[k]
+                    if i or j:
+                        out.write(separator)
+                    row = row_head + (separator + row_head).join(row_cells)
+                    out.write(row % tuple(slots[j * width : (j + 1) * width]))
             out.write(closing)
         os.replace(tmp, path)
     except BaseException:

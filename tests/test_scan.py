@@ -63,6 +63,16 @@ class TestScanConfig:
         with pytest.raises(ValueError, match="format"):
             ScanConfig(resolution=8, output_path="out.xml", output_format="xml")
 
+    @pytest.mark.parametrize("resolution", [2.5, 8.0, "8"])
+    def test_rejects_non_integer_resolution(self, resolution):
+        with pytest.raises(TypeError, match="resolution must be an integer"):
+            ScanConfig(resolution=resolution, output_path="out.csv")
+
+    def test_accepts_numpy_integer_resolution(self, tmp_path):
+        config = ScanConfig(resolution=np.int64(3), output_path=tmp_path / "s.csv")
+        write_scan(config)
+        assert config.output_path.read_bytes() == render_csv(compute_scan(3)).encode("utf-8")
+
     def test_has_no_seed(self):
         # The grid is deterministic; a seed would be written nowhere.
         with pytest.raises(TypeError):
