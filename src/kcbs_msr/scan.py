@@ -19,11 +19,12 @@ format s and c with ``%.12g`` in the same ``%`` that copies them in, so it
 holds O(resolution) template strings.  JSON writes ``repr(float(text))``
 of the ``%.12g`` text; the two can differ only for values that are
 non-finite, 1e5 or more in magnitude, or within 1e-6 of an integer (an
-integer text gains ".0", and subnormals lie within 1e-6 of 0), so the cells
-with such an s or c take their JSON text through ``%s`` instead.  The slabs go to a temporary file
-next to the target, which replaces the target only once the scan is
-complete.  ``compute_scan`` and the renderers hold the same grid in memory
-as records, for small resolutions and for tests.
+integer text gains ".0", and subnormals lie within 1e-6 of 0), so the
+cells with such an s or c take their JSON text through ``%s`` instead.
+The slabs go to a temporary file next to the target, which replaces the
+target only once the scan is complete.  ``compute_scan`` and the renderers
+hold the same grid in memory as records, for small resolutions and for
+tests.
 """
 
 from __future__ import annotations
@@ -214,10 +215,9 @@ def write_scan(config: ScanConfig) -> ScanSummary:
         opening, separator, closing = "[", ",", "]\n"
         head, cell = '{{"theta1":{},"theta2":{},', '"delta_phi":{},"s":%.12g,"c":%.12g,"regime":"%s"}}'
     th_text = numbers(th.tolist())
-    dp_text = numbers(dp.tolist())
-    cells = [cell.format(d) for d in dp_text]
+    cells = [cell.format(d) for d in numbers(dp.tolist())]
     # A cell whose s or c JSON writes differently takes their text through %s.
-    text_cells = [c.replace("%.12g", "%s") for c in cells]
+    text_cells = [x.replace("%.12g", "%s") for x in cells]
     counts = np.zeros(len(_LABELS), dtype=np.int64)
     width = 3 * len(cells)
     path = Path(config.output_path)

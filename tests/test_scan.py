@@ -13,9 +13,9 @@ from kcbs_msr import scan
 from kcbs_msr import (
     Regime,
     ScanConfig,
+    ScanRecord,
     classify_s,
     compute_scan,
-    ScanRecord,
     regime_counts,
     render_csv,
     render_json,
@@ -284,9 +284,9 @@ class TestWriteScan:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
     def test_resident_memory_flat_over_repeated_scans(self, tmp_path):
-        # Filling one slab-sized template of floats per % left the heap
-        # fragmented: VmRSS rose 2-4 MB on every res-64 JSON scan.  tracemalloc
-        # does not see that, so read the resident set itself.
+        # Filling one slab-sized template of floats per % fragments the heap:
+        # VmRSS rises 2-4 MB on every res-64 JSON scan.  tracemalloc does not
+        # see that, so read the resident set itself.
         path = tmp_path / "scan.json"
         rss = []
         for _ in range(4):
