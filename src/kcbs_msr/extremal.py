@@ -50,6 +50,12 @@ LOCAL_BOUND = -SQRT5
 
 _FEASIBILITY_SLACK = 1e-12
 
+# Half-width of the band around a feasibility bound in which the search
+# re-decides a cell with np.cos: cos a cos b -/+ sin a sin b differs from
+# np.cos(a +/- b) by at most 6.7e-16 (3 ulp of 1) over the first stage and
+# 400 seeded refine windows, 150 times less than the guard.
+_COS_GUARD = 1e-13
+
 
 def s_min_of(c):
     """The minimum law (5 - 3 sqrt(5)) c - sqrt(5); floats or numpy arrays."""
@@ -152,14 +158,24 @@ def numeric_extremal_search(
     On the constraint surface f is pinned at (1 - 3c)/(1 + c), so
     feasibility of a cell is exactly |cos(delta_phi)| <= 1, which is
     evaluated in the well-conditioned equivalent form
-    cos(theta1 + theta2) <= f <= cos(theta1 - theta2).
+    cos(theta1 + theta2) <= f <= cos(theta1 - theta2), each side with a
+    slack of 1e-12.
 
-    Each refine stage tests feasibility only on the cells whose S is no
-    worse than the best found so far (the first stage tests every cell),
-    and evaluates cos(theta1 - theta2) only where the cos(theta1 + theta2)
-    test passed.  The result is that of testing every cell: a worse cell
-    could never replace the best, and every cell holding the stage's
-    extreme value is tested, so the lowest-index tie-break holds.
+    A stage takes cos(theta1 +/- theta2) from the outer products
+    P = cos(theta1) cos(theta2), which S needs anyway, and
+    Q = sin(theta1) sin(theta2) as P - Q and P + Q, so it calls np.cos and
+    np.sin on its two axes of grid_n values, not on its cells.  These differ
+    from np.cos(theta1 +/- theta2) by a few ulp, so the product form decides
+    a cell only where both sums lie farther than ``_COS_GUARD`` (1e-13)
+    from their bounds.  A cell inside that band whose S is no worse than
+    the best found so far is re-decided with np.cos(theta1 +/- theta2), so
+    every cell gets the decision np.cos would give it.
+
+    A cell whose S is worse than the best found so far is never kept (the
+    first stage has no best, so it keeps every feasible cell).  The result
+    is that of keeping every feasible cell: a worse cell could never
+    replace the best, and every cell holding the stage's extreme value is
+    decided, so the lowest-index tie-break holds.
     """
     f_t = f_from_concurrence(c)
     _validate_objective(objective)
@@ -176,28 +192,44 @@ def numeric_extremal_search(
     pick = np.argmin if minimizing else np.argmax
     worst = math.inf if minimizing else -math.inf
 
+    # Feasible: cos(t1 + t2) <= upper and cos(t1 - t2) >= lower.
+    upper = f_t + _FEASIBILITY_SLACK
+    lower = f_t - _FEASIBILITY_SLACK
+
     # Work arrays shared by the stages: a stage allocates no grid-sized temporary.
     centers = np.arange(grid_n) + 0.5
     s_work = np.empty((grid_n, grid_n))
-    cos_work = np.empty((grid_n, grid_n))
+    p_work = np.empty((grid_n, grid_n))
+    q_work = np.empty((grid_n, grid_n))
     keep = np.empty((grid_n, grid_n), dtype=bool)
+    band = np.empty((grid_n, grid_n), dtype=bool)
+    test = np.empty((grid_n, grid_n), dtype=bool)
 
     def stage(lo1, hi1, lo2, hi2, bound):
         ax1 = lo1 + centers * (hi1 - lo1) / grid_n
         ax2 = lo2 + centers * (hi2 - lo2) / grid_n
+        p = np.multiply(np.cos(ax1)[:, None], np.cos(ax2), out=p_work)
+        q = np.multiply(np.sin(ax1)[:, None], np.sin(ax2), out=q_work)
+        # keep: the product form may pass; band: it is within the guard of a bound.
+        cos_sum = np.subtract(p, q, out=s_work)
+        np.less_equal(cos_sum, upper + _COS_GUARD, out=keep)
+        np.greater_equal(cos_sum, upper - _COS_GUARD, out=band)
+        cos_diff = np.add(p, q, out=q_work)
+        np.greater_equal(cos_diff, lower - _COS_GUARD, out=test)
+        np.logical_and(keep, test, out=keep)
+        np.less_equal(cos_diff, lower + _COS_GUARD, out=test)
+        np.logical_or(band, test, out=band)
         # s_coef * (cos t1 cos t2 + 1.0) + s_const, one step at a time in place.
-        s = np.multiply(np.cos(ax1)[:, None], np.cos(ax2), out=s_work)
-        s += 1.0
+        s = np.add(p, 1.0, out=s_work)
         s *= s_coef
         s += s_const
-        no_worse(s, bound, out=keep)
-        col1 = ax1[:, None]
-        np.add(col1, ax2, out=cos_work, where=keep)
-        np.cos(cos_work, out=cos_work, where=keep)
-        np.less_equal(cos_work, f_t + _FEASIBILITY_SLACK, out=keep, where=keep)
-        np.subtract(col1, ax2, out=cos_work, where=keep)
-        np.cos(cos_work, out=cos_work, where=keep)
-        np.greater_equal(cos_work, f_t - _FEASIBILITY_SLACK, out=keep, where=keep)
+        no_worse(s, bound, out=test)
+        np.logical_and(keep, test, out=keep)
+        np.logical_and(band, keep, out=band)
+        if band.any():
+            i, j = np.nonzero(band)
+            t1, t2 = ax1[i], ax2[j]
+            keep[i, j] = (np.cos(t1 + t2) <= upper) & (np.cos(t1 - t2) >= lower)
         if not keep.any():
             return None
         np.logical_not(keep, out=keep)  # now the cells that cannot win

@@ -16,11 +16,12 @@ the resolution^2 cells of one theta1 with theta2 outer and delta_phi inner,
 slabs in increasing theta1, so memory stays flat in the resolution.  Within
 a slab it fills one text template per theta2 row, whose resolution cells
 format s and c with ``%.12g`` in the same ``%`` that copies them in, so it
-holds O(resolution) template strings.  JSON writes ``repr(float(text))``
-of the ``%.12g`` text; the two can differ only for values that are
-non-finite, 1e5 or more in magnitude, or within 1e-6 of an integer (an
-integer text gains ".0", and subnormals lie within 1e-6 of 0), so the
-cells with such an s or c take their JSON text through ``%s`` instead.
+holds O(resolution) template strings.  JSON writes
+``json.dumps(float(text))`` of the ``%.12g`` text; the two can differ only
+for values that are non-finite (JSON writes ``NaN`` and ``Infinity``), 1e5
+or more in magnitude, or within 1e-6 of an integer (an integer text gains
+".0", and subnormals lie within 1e-6 of 0), so the cells with such an s or
+c take their JSON text through ``%s`` instead.
 The slabs go to a temporary file next to the target, which replaces the
 target only once the scan is complete.  ``compute_scan`` and the renderers
 hold the same grid in memory as records, for small resolutions and for
@@ -176,8 +177,9 @@ def _csv_numbers(values) -> list[str]:
 
 
 def _json_numbers(values) -> list[str]:
-    """What ``json.dumps`` writes for ``float(_fmt(v))``: its repr."""
-    return list(map(repr, map(float, _csv_numbers(values))))
+    """What ``json.dumps`` writes for ``float(_fmt(v))``: its repr if finite,
+    else ``NaN``, ``Infinity`` or ``-Infinity``."""
+    return list(map(json.dumps, map(float, _csv_numbers(values))))
 
 
 def _json_differs(values: np.ndarray) -> np.ndarray:

@@ -377,10 +377,10 @@ class TestGoldenStdout:
         assert out == SCAN_4_SUMMARY + f"wrote {out_path}\n"
 
 
-def run_module(*argv):
+def run_module(*argv, flags=()):
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "kcbs_msr", *argv],
+        [sys.executable, *flags, "-m", "kcbs_msr", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -392,6 +392,13 @@ class TestEntryPoints:
         result = run_module("eval", "--theta1", "0", "--theta2", "0")
         assert result.returncode == 0
         assert "regime = Local" in result.stdout
+
+    def test_verify_passes_with_asserts_stripped(self):
+        # python -O strips assert statements, so none may be what a check relies on.
+        result = run_module("verify", "--samples", "200", flags=("-O",))
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[-1] == "all 23 checks passed"
+        assert result.stdout == VERIFY_200
 
     def test_unknown_command_exits_with_usage_code(self):
         result = run_module("frobnicate")

@@ -1,0 +1,83 @@
+"""Exact reference for the pentagram frame and its five-cycle operator.
+
+sympy builds the frame from its definition, cos^2(Theta) = cos(pi/5) /
+(1 + cos(pi/5)) and azimuthal step 4 pi/5, with exact spin-1 matrices, so
+the diagonal form of the cyclic operator is proved rather than sampled, and
+the float construction is measured against it.
+"""
+
+from functools import cache
+
+import numpy as np
+import pytest
+
+from kcbs_msr import kcbs_operator_from_frame, pentagram_vectors
+
+sp = pytest.importorskip("sympy")
+
+SQRT5 = sp.sqrt(5)
+EXACT_DIAGONAL = sp.diag(2 * SQRT5 - 5, 5 - 4 * SQRT5, 2 * SQRT5 - 5)
+
+
+@cache
+def exact_frame():
+    """Rows (sin T cos(j step), sin T sin(j step), cos T), j = 0..4.
+
+    cos(j step) + i sin(j step) is taken as the j-th power of
+    cos(step) + i sin(step), which keeps every entry in one radical of the
+    step: sympy writes sin(8 pi/5) with a radical of its own.
+    """
+    c = sp.cos(sp.pi / 5)
+    cos2 = sp.radsimp(c / (1 + c))
+    cos_t, sin_t = sp.sqrt(cos2), sp.sqrt(1 - cos2)
+    step = 4 * sp.pi / 5
+    turn = sp.cos(step) + sp.I * sp.sin(step)
+    rows = []
+    for j in range(5):
+        azimuth = sp.expand(turn**j)
+        rows.append([sin_t * sp.re(azimuth), sin_t * sp.im(azimuth), cos_t])
+    return sp.Matrix(rows)
+
+
+@cache
+def exact_operator():
+    """sum_j A(v_j) A(v_j+1) with A(v) = 2 (v . S)^2 - I, expanded."""
+    half = 1 / sp.sqrt(2)
+    sx = sp.Matrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) * half
+    sy = sp.Matrix([[0, -sp.I, 0], [sp.I, 0, -sp.I], [0, sp.I, 0]]) * half
+    sz = sp.diag(1, 0, -1)
+    frame = exact_frame()
+    ops = []
+    for j in range(5):
+        x, y, z = frame.row(j)
+        spin = x * sx + y * sy + z * sz
+        ops.append((2 * spin * spin - sp.eye(3)).applyfunc(sp.expand))
+    total = sum((ops[j] * ops[(j + 1) % 5] for j in range(5)), sp.zeros(3, 3))
+    return total.applyfunc(sp.expand)
+
+
+class TestExactFrame:
+    def test_theta_is_the_quarter_power(self):
+        # cos^2(Theta) = cos(pi/5) / (1 + cos(pi/5)) = 1/sqrt(5).
+        assert sp.simplify(exact_frame()[0, 2] ** 4 - sp.Rational(1, 5)) == 0
+
+    def test_unit_rows_with_orthogonal_neighbours(self):
+        frame = exact_frame()
+        for j in range(5):
+            v, w = frame.row(j), frame.row((j + 1) % 5)
+            assert sp.simplify(v.dot(v)) == 1
+            assert sp.simplify(v.dot(w)) == 0
+
+    def test_float_frame_matches(self):
+        exact = np.array(exact_frame().evalf(30).tolist(), dtype=float)
+        assert np.max(np.abs(pentagram_vectors().vectors - exact)) <= 1e-15
+
+
+class TestExactOperator:
+    def test_cyclic_operator_is_the_diagonal(self):
+        assert sp.simplify(exact_operator() - EXACT_DIAGONAL) == sp.zeros(3, 3)
+
+    def test_float_operator_matches(self):
+        exact = np.array(EXACT_DIAGONAL.evalf(30).tolist(), dtype=float)
+        found = kcbs_operator_from_frame(pentagram_vectors())
+        assert np.max(np.abs(found - exact)) <= 1e-14

@@ -21,6 +21,7 @@ from kcbs_msr import (
     s_min_from_beta,
     sample_pairs,
 )
+from kcbs_msr import extremal
 from kcbs_msr.checks import _C_GRID
 from kcbs_msr.extremal import (
     _FEASIBILITY_SLACK,
@@ -213,6 +214,9 @@ def reference_search(c, objective="minimize", grid_n=128, refine_iters=8):
 # c at the ends of [0, 1], the smallest subnormal and the threshold 1/sqrt(5).
 EDGE_C = [0.0, 5e-324, 1.0 / SQRT5, math.nextafter(1.0, 0.0), 1.0]
 SEEDED_C = np.random.default_rng(20231).uniform(0.0, 1.0, 200).tolist()
+# c whose stages put cells inside the guard band of the feasibility test
+# (17 to 201 cells a search at grid 128, for one or both objectives).
+BAND_C = [1e-12, 1e-8, 0.999999999999]
 
 
 class TestSearchAgainstReference:
@@ -220,6 +224,13 @@ class TestSearchAgainstReference:
     @pytest.mark.parametrize("objective", ["minimize", "maximize"])
     def test_equal_to_the_full_grid_search(self, objective, grid_n, refine_iters):
         for c in _C_GRID + EDGE_C + SEEDED_C:
+            found = numeric_extremal_search(c, objective, grid_n, refine_iters)
+            assert found == reference_search(c, objective, grid_n, refine_iters), c
+
+    @pytest.mark.parametrize("grid_n, refine_iters", [(128, 8), (16, 0), (33, 3), (24, 3)])
+    @pytest.mark.parametrize("objective", ["minimize", "maximize"])
+    def test_band_c_equal_to_the_full_grid_search(self, objective, grid_n, refine_iters):
+        for c in BAND_C:
             found = numeric_extremal_search(c, objective, grid_n, refine_iters)
             assert found == reference_search(c, objective, grid_n, refine_iters), c
 
@@ -239,6 +250,43 @@ class TestSearchAgainstReference:
         found = numeric_extremal_search(c, objective, grid_n, refine_iters)
         assert found == reference_search(c, objective, grid_n, refine_iters)
         assert found.s_star == first.s_star
+
+
+class TestCosGuard:
+    @pytest.mark.parametrize("guard", [math.inf, 0.0])
+    @pytest.mark.parametrize("objective", ["minimize", "maximize"])
+    def test_guard_width_does_not_change_the_result(self, monkeypatch, guard, objective):
+        # inf: np.cos decides every cell; 0.0: the product form decides
+        # every cell off the bounds themselves.
+        cs = _C_GRID + EDGE_C + BAND_C
+        expected = [numeric_extremal_search(c, objective) for c in cs]
+        monkeypatch.setattr(extremal, "_COS_GUARD", guard)
+        assert [numeric_extremal_search(c, objective) for c in cs] == expected
+
+    def test_product_form_error_is_far_inside_the_guard(self):
+        # The first stage's window and seeded refine windows of every size.
+        grid_n = 128
+        centers = np.arange(grid_n) + 0.5
+        rng = np.random.default_rng(7)
+        windows = [(0.0, math.pi, 0.0, math.pi)]
+        for k in range(400):
+            t1, t2 = rng.uniform(0.0, math.pi, 2)
+            half = math.pi / grid_n * 0.25 ** (k % 8)
+            windows.append(
+                (max(0.0, t1 - half), min(math.pi, t1 + half), max(0.0, t2 - half), min(math.pi, t2 + half))
+            )
+        worst = 0.0
+        for lo1, hi1, lo2, hi2 in windows:
+            ax1 = (lo1 + centers * (hi1 - lo1) / grid_n)[:, None]
+            ax2 = lo2 + centers * (hi2 - lo2) / grid_n
+            p = np.cos(ax1) * np.cos(ax2)
+            q = np.sin(ax1) * np.sin(ax2)
+            worst = max(
+                worst,
+                np.max(np.abs((p - q) - np.cos(ax1 + ax2))),
+                np.max(np.abs((p + q) - np.cos(ax1 - ax2))),
+            )
+        assert worst < extremal._COS_GUARD / 100
 
 
 class TestDominance:

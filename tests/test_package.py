@@ -102,10 +102,11 @@ class TestSource:
     def test_no_assert_statements(self):
         # ``python -O`` strips asserts, so none may guard the package's math.
         found = []
-        for path in sorted(Path(kcbs_msr.__file__).parent.glob("*.py")):
+        root = Path(kcbs_msr.__file__).parent
+        for path in sorted(root.rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             found += [
-                f"{path.name}:{node.lineno}"
+                f"{path.relative_to(root)}:{node.lineno}"
                 for node in ast.walk(tree)
                 if isinstance(node, ast.Assert)
             ]

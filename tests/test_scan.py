@@ -282,6 +282,34 @@ class TestWriteScan:
         ]
         assert path.read_bytes() == render(records).encode("utf-8")
 
+    def test_non_finite_values_parse_as_json(self, tmp_path, monkeypatch):
+        # JSON has no nan or inf literal; json.dumps writes NaN and Infinity.
+        values = [
+            (np.array([[math.nan, 0.25], [math.inf, -math.inf]]), np.array([[0.5, math.nan], [1.0, 2.5]])),
+            (np.array([[-1.5, -3.0], [0.125, -2.5]]), np.array([[math.inf, -math.inf], [0.75, math.nan]])),
+        ]
+        code = np.array([[0, 1], [2, 0]])
+        slabs = iter(values)
+
+        def non_finite_evaluate(*args):
+            s, c = next(slabs)
+            return s, c, code
+
+        monkeypatch.setattr(scan, "_evaluate", non_finite_evaluate)
+        path = tmp_path / "scan.json"
+        write_scan(ScanConfig(resolution=2, output_path=path, output_format="json"))
+        th = scan.theta_centers(2).tolist()
+        dp = scan.dphi_centers(2).tolist()
+        records = [
+            ScanRecord(t1, t2, d, s[j, k], c[j, k], scan._LABELS[code[j, k]])
+            for t1, (s, c) in zip(th, values)
+            for j, t2 in enumerate(th)
+            for k, d in enumerate(dp)
+        ]
+        text = path.read_text(encoding="utf-8")
+        assert len(json.loads(text)) == 8
+        assert text == render_json(records)
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
     def test_resident_memory_flat_over_repeated_scans(self, tmp_path):
         # Filling one slab-sized template of floats per % fragments the heap:
