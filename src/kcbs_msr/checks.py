@@ -274,6 +274,8 @@ def run_all_checks(
     """Run every verification check on ``samples`` seeded random states."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1: got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative: got {seed}")
     *head, spectral, dominance, implication = _check_samples(
         *_sample_angles(samples, seed)
     )

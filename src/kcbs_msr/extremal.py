@@ -20,6 +20,7 @@ beta = 2 sqrt(1 + c^2), through which S_min + sqrt(5) is proportional to
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Literal
 
@@ -140,6 +141,95 @@ def _validate_objective(objective: str) -> None:
         raise ValueError(f"objective must be 'minimize' or 'maximize': got {objective!r}")
 
 
+# Plateaus of p + 1.0 the edge search steps over before it bisects.
+_EDGE_STEPS = 8
+
+
+def _plateau_end(p: float, toward: float) -> float:
+    """The farthest float in [-1, 1] from ``p`` toward ``toward`` with the
+    same p + 1.0.
+
+    Below p = -0.5 the sum is exact, so p is alone.  From there up, u - 1.0
+    is exact for u = p + 1.0, and so is u - 1.0 plus half the gap to the
+    neighbouring u: the point where rounding switches to that neighbour.  A
+    tie rounds to even, which may be the neighbour, and then the end is the
+    float before it.
+    """
+    u = p + 1.0
+    if u < 0.5:
+        return p
+    end = (u - 1.0) + (math.nextafter(u, toward) - u) / 2.0
+    if end + 1.0 != u:
+        end = math.nextafter(end, -toward)
+    return min(end, 1.0)
+
+
+def _ordinal(x: float) -> int:
+    """Rank of ``x`` in the float ordering: adjacent floats differ by 1."""
+    (i,) = struct.unpack("<q", struct.pack("<d", x))
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _from_ordinal(k: int) -> float:
+    (x,) = struct.unpack("<d", struct.pack("<q", k if k >= 0 else -k - (1 << 63)))
+    return x
+
+
+def _p_edge(s_coef: float, s_const: float, bound: float, minimizing: bool) -> float:
+    """The edge of the P in [-1, 1] whose S = (P + 1.0) * s_coef + s_const
+    is no worse than ``bound``, for s_coef > 0.
+
+    Each rounding step of S is monotone in P, so S is no worse than the
+    bound exactly where P <= edge when minimizing and P >= edge when
+    maximizing, and S at the edge is no worse.  If no P in [-1, 1] is, the edge is -inf (minimizing) or
+    inf (maximizing).  The search starts at the real-valued inverse and
+    steps a plateau of P + 1.0 at a time, since S is constant on one; near
+    P = 0 a plateau holds up to 2^62 floats.  After ``_EDGE_STEPS`` steps it
+    bisects over the float ordering, which any s_coef and s_const allow.
+    """
+    worse = math.inf if minimizing else -math.inf  # the direction S gets worse in
+    last = 1.0 if minimizing else -1.0
+    first = -last
+
+    def no_worse(p):
+        s = (p + 1.0) * s_coef + s_const
+        return s <= bound if minimizing else s >= bound
+
+    p = min(1.0, max(-1.0, (bound - s_const) / s_coef - 1.0))
+    if no_worse(p):
+        for _ in range(_EDGE_STEPS):
+            p = _plateau_end(p, worse)
+            if p == last:
+                return last
+            after = math.nextafter(p, worse)
+            if not no_worse(after):
+                return p
+            p = after
+        if no_worse(last):
+            return last
+        good, bad = p, last
+    else:
+        for _ in range(_EDGE_STEPS):
+            p = _plateau_end(p, -worse)
+            if p == first:
+                return -worse
+            before = math.nextafter(p, -worse)
+            if no_worse(before):
+                return before
+            p = before
+        if not no_worse(first):
+            return -worse
+        good, bad = first, p
+    good, bad = _ordinal(good), _ordinal(bad)
+    while abs(bad - good) > 1:
+        mid = (good + bad) // 2
+        if no_worse(_from_ordinal(mid)):
+            good = mid
+        else:
+            bad = mid
+    return _from_ordinal(good)
+
+
 def numeric_extremal_search(
     c: float,
     objective: Objective = "minimize",
@@ -164,18 +254,26 @@ def numeric_extremal_search(
     A stage takes cos(theta1 +/- theta2) from the outer products
     P = cos(theta1) cos(theta2), which S needs anyway, and
     Q = sin(theta1) sin(theta2) as P - Q and P + Q, so it calls np.cos and
-    np.sin on its two axes of grid_n values, not on its cells.  These differ
-    from np.cos(theta1 +/- theta2) by a few ulp, so the product form decides
-    a cell only where both sums lie farther than ``_COS_GUARD`` (1e-13)
-    from their bounds.  A cell inside that band whose S is no worse than
-    the best found so far is re-decided with np.cos(theta1 +/- theta2), so
-    every cell gets the decision np.cos would give it.
+    np.sin on its two axes of grid_n values, not on its cells.  It forms P
+    and Q with np.einsum, about twice as fast as a broadcast multiply;
+    einsum writes a product of -0.0 as +0.0, which neither a comparison nor
+    S can tell apart.  The sums differ from np.cos(theta1 +/- theta2) by a
+    few ulp, so the product form decides a cell only where both sums lie
+    farther than ``_COS_GUARD`` (1e-13) from their bounds.  A cell inside
+    that band whose S is no worse than the best found so far is re-decided
+    with np.cos(theta1 +/- theta2), so every cell gets the decision np.cos
+    would give it.
 
     A cell whose S is worse than the best found so far is never kept (the
     first stage has no best, so it keeps every feasible cell).  The result
     is that of keeping every feasible cell: a worse cell could never
     replace the best, and every cell holding the stage's extreme value is
-    decided, so the lowest-index tie-break holds.
+    decided, so the lowest-index tie-break holds.  S = (P + 1.0) * coef +
+    const with coef > 0 is a chain of monotone roundings of P, so "S no
+    worse than the best" is one comparison of P with a scalar edge, the
+    last float P at which the rounded S is no worse (``_p_edge``).  The
+    stage computes S only on the kept cells, taken in ascending flat order
+    by np.flatnonzero, so argmin / argmax still return the lowest index.
     """
     f_t = f_from_concurrence(c)
     _validate_objective(objective)
@@ -188,7 +286,7 @@ def numeric_extremal_search(
     s_coef = 4.0 * (3.0 * SQRT5 - 5.0) / (f_t + 3.0)
     s_const = 5.0 - 4.0 * SQRT5
     minimizing = objective == "minimize"
-    no_worse = np.less_equal if minimizing else np.greater_equal
+    p_inside = np.less_equal if minimizing else np.greater_equal
     pick = np.argmin if minimizing else np.argmax
     worst = math.inf if minimizing else -math.inf
 
@@ -198,7 +296,7 @@ def numeric_extremal_search(
 
     # Work arrays shared by the stages: a stage allocates no grid-sized temporary.
     centers = np.arange(grid_n) + 0.5
-    s_work = np.empty((grid_n, grid_n))
+    sum_work = np.empty((grid_n, grid_n))
     p_work = np.empty((grid_n, grid_n))
     q_work = np.empty((grid_n, grid_n))
     keep = np.empty((grid_n, grid_n), dtype=bool)
@@ -208,10 +306,10 @@ def numeric_extremal_search(
     def stage(lo1, hi1, lo2, hi2, bound):
         ax1 = lo1 + centers * (hi1 - lo1) / grid_n
         ax2 = lo2 + centers * (hi2 - lo2) / grid_n
-        p = np.multiply(np.cos(ax1)[:, None], np.cos(ax2), out=p_work)
-        q = np.multiply(np.sin(ax1)[:, None], np.sin(ax2), out=q_work)
+        p = np.einsum("i,j->ij", np.cos(ax1), np.cos(ax2), out=p_work)
+        q = np.einsum("i,j->ij", np.sin(ax1), np.sin(ax2), out=q_work)
         # keep: the product form may pass; band: it is within the guard of a bound.
-        cos_sum = np.subtract(p, q, out=s_work)
+        cos_sum = np.subtract(p, q, out=sum_work)
         np.less_equal(cos_sum, upper + _COS_GUARD, out=keep)
         np.greater_equal(cos_sum, upper - _COS_GUARD, out=band)
         cos_diff = np.add(p, q, out=q_work)
@@ -219,23 +317,23 @@ def numeric_extremal_search(
         np.logical_and(keep, test, out=keep)
         np.less_equal(cos_diff, lower + _COS_GUARD, out=test)
         np.logical_or(band, test, out=band)
-        # s_coef * (cos t1 cos t2 + 1.0) + s_const, one step at a time in place.
-        s = np.add(p, 1.0, out=s_work)
-        s *= s_coef
-        s += s_const
-        no_worse(s, bound, out=test)
+        # S no worse than the bound, decided on P: S rises with P.
+        p_inside(p, _p_edge(s_coef, s_const, bound, minimizing), out=test)
         np.logical_and(keep, test, out=keep)
         np.logical_and(band, keep, out=band)
         if band.any():
             i, j = np.nonzero(band)
             t1, t2 = ax1[i], ax2[j]
             keep[i, j] = (np.cos(t1 + t2) <= upper) & (np.cos(t1 - t2) >= lower)
-        if not keep.any():
+        cells = np.flatnonzero(keep)
+        if not cells.size:
             return None
-        np.logical_not(keep, out=keep)  # now the cells that cannot win
-        np.copyto(s, worst, where=keep)
-        i, j = divmod(int(pick(s)), grid_n)
-        return float(s[i, j]), float(ax1[i]), float(ax2[j])
+        # s_coef * (cos t1 cos t2 + 1.0) + s_const on the kept cells, in ascending
+        # flat order, so pick's first extreme is the lowest-index one.
+        s = (p.ravel()[cells] + 1.0) * s_coef + s_const
+        k = int(pick(s))
+        i, j = divmod(int(cells[k]), grid_n)
+        return float(s[k]), float(ax1[i]), float(ax2[j])
 
     best = stage(0.0, math.pi, 0.0, math.pi, worst)  # no bound: every cell is tested
     if best is None:

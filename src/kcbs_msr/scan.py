@@ -30,6 +30,7 @@ tests.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import operator
@@ -195,14 +196,24 @@ def _json_differs(values: np.ndarray) -> np.ndarray:
     return np.abs(a - np.rint(a)) <= 1e-6
 
 
+def _naming(exc: OSError, path: Path) -> OSError:
+    """``exc`` with ``path`` as its file name, in place of the temporary file's."""
+    return OSError(exc.errno, exc.strerror, str(path))
+
+
 def write_scan(config: ScanConfig) -> ScanSummary:
     """Run the scan and write it to the configured path, slab by slab.
 
     The file is written under a temporary name in the target's directory and
     moved onto the target only when complete, so a failed scan leaves any
-    previous file untouched.  Returns the per-regime summary; the counts
-    always equal what a reader of the emitted file would recompute.
+    previous file untouched.  A target that is a directory fails before any
+    cell is computed; an error opening or replacing the file names the
+    target, not the temporary file.  Returns the per-regime summary; the
+    counts always equal what a reader of the emitted file would recompute.
     """
+    path = Path(config.output_path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     th = theta_centers(config.resolution)
     dp = dphi_centers(config.resolution)
     # A theta2 row is a head (theta1, theta2) before each of the resolution
@@ -222,9 +233,11 @@ def write_scan(config: ScanConfig) -> ScanSummary:
     text_cells = [x.replace("%.12g", "%s") for x in cells]
     counts = np.zeros(len(_LABELS), dtype=np.int64)
     width = 3 * len(cells)
-    path = Path(config.output_path)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise _naming(exc, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as out:
             out.write(opening)
@@ -254,7 +267,10 @@ def write_scan(config: ScanConfig) -> ScanSummary:
                     row = row_head + (separator + row_head).join(row_cells)
                     out.write(row % tuple(slots[j * width : (j + 1) * width]))
             out.write(closing)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise _naming(exc, path) from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: output, validation, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import kcbs_msr
-from kcbs_msr import checks, states
+from kcbs_msr import checks, cli, scan, states
 from kcbs_msr.cli import main
 
 # The child interpreter imports the same package as these tests.
@@ -125,6 +126,79 @@ witness: theta1 = 0.746898593069, theta2 = 0.746898593069, delta_phi = 3.1415926
 S_numeric = -0.527864049539
 numeric witness: theta1 = 0.746898595119, theta2 = 0.746898595119, delta_phi = 3.14145956875
 discrepancy = 4.538e-09
+result: PASS (tolerance 1e-06)
+"""
+
+# The concurrences at the ends and the threshold 1/sqrt(5): witnesses at the
+# poles, and at c = 0 (minimize) the search's P near 0, where P + 1.0 is flat.
+EXTREMAL_MIN_0 = """\
+concurrence = 0
+objective = minimize
+S_closed = -2.2360679775
+witness: theta1 = 1.57079632679, theta2 = 1.57079632679, delta_phi = 0
+S_numeric = -2.2360679775
+numeric witness: theta1 = 1.57079561289, theta2 = 1.57079701729, delta_phi = 0
+discrepancy = 8.420e-13
+result: PASS (tolerance 1e-06)
+"""
+
+EXTREMAL_MAX_0 = """\
+concurrence = 0
+objective = maximize
+S_closed = -0.527864045
+witness: theta1 = 0, theta2 = 0, delta_phi = 0
+witness: theta1 = 0, theta2 = 0, delta_phi = 3.14159265359
+S_numeric = -0.527864045
+numeric witness: theta1 = 5.94455600464e-09, theta2 = 5.94455600464e-09, delta_phi = 1.57079632679
+discrepancy = 0.000e+00
+result: PASS (tolerance 1e-06)
+"""
+
+EXTREMAL_MIN_THRESHOLD = """\
+concurrence = 0.4472135955
+objective = minimize
+S_closed = -3
+witness: theta1 = 0.666239432493, theta2 = 2.4753532211, delta_phi = 0
+witness: theta1 = 2.4753532211, theta2 = 0.666239432493, delta_phi = 0
+S_numeric = -2.99999999041
+numeric witness: theta1 = 0.666239436484, theta2 = 2.47535321711, delta_phi = 0.000201536361702
+discrepancy = 9.588e-09
+result: PASS (tolerance 1e-06)
+"""
+
+EXTREMAL_MAX_THRESHOLD = """\
+concurrence = 0.4472135955
+objective = maximize
+S_closed = -0.527864045
+witness: theta1 = 0.904556894302, theta2 = 0.904556894302, delta_phi = 3.14159265359
+S_numeric = -0.527864063527
+numeric witness: theta1 = 0.904556902014, theta2 = 0.904556902014, delta_phi = 3.14137242149
+discrepancy = 1.853e-08
+result: PASS (tolerance 1e-06)
+"""
+
+EXTREMAL_MIN_1 = """\
+concurrence = 1
+objective = minimize
+S_closed = -3.94427191
+witness: theta1 = 0, theta2 = 3.14159265359, delta_phi = 0
+witness: theta1 = 0, theta2 = 3.14159265359, delta_phi = 3.14159265359
+witness: theta1 = 3.14159265359, theta2 = 0, delta_phi = 0
+witness: theta1 = 3.14159265359, theta2 = 0, delta_phi = 3.14159265359
+S_numeric = -3.94427191
+numeric witness: theta1 = 5.94455600464e-09, theta2 = 3.14159264765, delta_phi = 1.57079632679
+discrepancy = 0.000e+00
+result: PASS (tolerance 1e-06)
+"""
+
+EXTREMAL_MAX_1 = """\
+concurrence = 1
+objective = maximize
+S_closed = -0.527864045
+witness: theta1 = 1.57079632679, theta2 = 1.57079632679, delta_phi = 3.14159265359
+S_numeric = -0.527864044999
+numeric witness: theta1 = 1.57079562459, theta2 = 1.57079562459, delta_phi = 3.14159265359
+discrepancy = 1.685e-12
 result: PASS (tolerance 1e-06)
 """
 
@@ -266,14 +340,26 @@ class TestScan:
         )
         assert code == 3
         assert "i/o error" in err
+        # The message names the target, not the hidden temporary file.
+        target = str(tmp_path / "missing" / "x.csv")
+        assert err == f"i/o error: [Errno 2] No such file or directory: {target!r}\n"
+        assert ".tmp" not in err
 
-    def test_directory_as_output_leaves_no_temp_file(self, tmp_path, capsys):
+    def test_directory_as_output_leaves_no_temp_file(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("scan computed a slab for a directory target")
+
+        monkeypatch.setattr(scan, "_evaluate", must_not_run)
         code, _, err = run_cli(
             "scan", "--resolution", "4", "--output", str(tmp_path), capsys=capsys
         )
         assert code == 3
         assert "i/o error" in err
         assert list(tmp_path.iterdir()) == []
+        # It fails before the first slab and names the target.
+        assert err == f"i/o error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+        assert ".tmp" not in err
 
     def test_seed_is_a_usage_error(self, tmp_path):
         # The grid is deterministic; --seed belongs to verify only.
@@ -295,6 +381,12 @@ class TestVerify:
         code, _, err = run_cli("verify", "--samples", "0", capsys=capsys)
         assert code == 1
         assert "samples" in err
+
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run_cli("verify", "--seed", "-1", capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be non-negative: got -1\n"
 
 
     @pytest.mark.parametrize(
@@ -368,6 +460,27 @@ class TestGoldenStdout:
         assert out == expected
         assert err == ""
 
+    @pytest.mark.parametrize(
+        "c, objective, expected",
+        [
+            ("0", "min", EXTREMAL_MIN_0),
+            ("0", "max", EXTREMAL_MAX_0),
+            (repr(1.0 / math.sqrt(5.0)), "min", EXTREMAL_MIN_THRESHOLD),
+            (repr(1.0 / math.sqrt(5.0)), "max", EXTREMAL_MAX_THRESHOLD),
+            ("1", "min", EXTREMAL_MIN_1),
+            ("1", "max", EXTREMAL_MAX_1),
+        ],
+        ids=["0-min", "0-max", "threshold-min", "threshold-max", "1-min", "1-max"],
+    )
+    def test_extremal_edge_concurrence(self, c, objective, expected, capsys):
+        code, out, err = run_cli(
+            "extremal", "--concurrence", c, "--objective", objective,
+            "--method", "both", capsys=capsys,
+        )
+        assert code == 0
+        assert out == expected
+        assert err == ""
+
     def test_scan_summary(self, tmp_path, capsys):
         out_path = tmp_path / "scan.csv"
         code, out, _ = run_cli(
@@ -403,3 +516,66 @@ class TestEntryPoints:
     def test_unknown_command_exits_with_usage_code(self):
         result = run_module("frobnicate")
         assert result.returncode == 1
+
+
+# A fresh interpreter that runs main once, with s_of_parts broken or intact.
+FRESH_MAIN = """\
+import sys
+from kcbs_msr import checks
+from kcbs_msr.cli import main
+if sys.argv[1] == "broken":
+    original = checks.s_of_parts
+    checks.s_of_parts = lambda *a: original(*a) + 1e-9
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call leaks into the next."""
+
+    CALLS = [
+        ("intact", ("extremal", "--objective", "min")),  # usage error
+        ("broken", ("verify", "--samples", "200")),
+        ("intact", ("classify", *GENERIC_STATE)),
+        ("intact", ("extremal", "--concurrence", "0.3", "--method", "both",
+                    "--objective", "min")),
+    ]
+
+    def test_one_process_matches_fresh_processes(self, monkeypatch, capsys):
+        # Usage text wraps at the terminal width: fix it on both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+        fresh = []
+        for route, argv in self.CALLS:
+            done = subprocess.run(
+                [sys.executable, "-c", FRESH_MAIN, route, *argv],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            fresh.append((done.returncode, done.stdout, done.stderr))
+
+        shared = []
+        for route, argv in self.CALLS:
+            with monkeypatch.context() as patch:
+                if route == "broken":
+                    original = checks.s_of_parts
+                    patch.setattr(checks, "s_of_parts", lambda *a: original(*a) + 1e-9)
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+            captured = capsys.readouterr()
+            shared.append((code, captured.out, captured.err))
+
+        assert shared == fresh
+        usage, verify, classify, extremal = shared
+        assert usage[0] == 1 and usage[1] == ""
+        assert usage[2].startswith("usage: kcbs-msr extremal ")
+        assert usage[2].endswith("error: the following arguments are required: --concurrence\n")
+        assert verify[0] == 2
+        rows = {line.split()[0]: line for line in verify[1].splitlines()}
+        assert rows["s-four-way-equivalence"].endswith("  FAIL")
+        assert verify[1].splitlines()[-1] == "FAILED: s-four-way-equivalence"
+        assert classify == (0, CLASSIFY_GENERIC, "")
+        assert extremal == (0, EXTREMAL_MIN_03, "")
+        assert cli._build_parser() is cli._build_parser()

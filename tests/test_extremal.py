@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kcbs_msr import (
     concurrence_function,
@@ -287,6 +288,115 @@ class TestCosGuard:
                 np.max(np.abs((p + q) - np.cos(ax1 - ax2))),
             )
         assert worst < extremal._COS_GUARD / 100
+
+
+def s_of_p(p, coef, const):
+    """S as the search rounds it, one step at a time."""
+    return (p + 1.0) * coef + const
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Where the bound's P lies: anywhere in [-1, 1], near 0, or past either end.
+EDGE_P = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-1e-12, 1e-12),
+    st.sampled_from([-1.5, 1.5, -1.0, 1.0, 0.0, -0.5]),
+)
+
+
+@st.composite
+def edge_inputs(draw):
+    """(coef, const, bound, minimizing), the bound S of an EDGE_P moved by
+    up to three floats."""
+    coef = draw(st.floats(min_value=5e-324, max_value=1e300))
+    const = draw(FINITE)
+    bound = s_of_p(draw(EDGE_P), coef, const)
+    for _ in range(draw(st.integers(0, 3))):
+        bound = math.nextafter(bound, draw(st.sampled_from([-math.inf, math.inf])))
+    if not math.isfinite(bound):
+        bound = draw(FINITE)
+    return coef, const, bound, draw(st.booleans())
+
+
+class TestPEdge:
+    """The P edge that decides "S no worse than the bound" in a search stage."""
+
+    # The search's coefficients at c = 1/sqrt(5).
+    COEF = 4.0 * (3.0 * SQRT5 - 5.0) / (f_from_concurrence(1.0 / SQRT5) + 3.0)
+    CONST = 5.0 - 4.0 * SQRT5
+
+    @staticmethod
+    def check(coef, const, bound, minimizing):
+        edge = extremal._p_edge(coef, const, bound, minimizing)
+        no_worse = (lambda s: s <= bound) if minimizing else (lambda s: s >= bound)
+        past = math.inf if minimizing else -math.inf  # S gets worse this way
+        if -1.0 <= edge <= 1.0:
+            assert no_worse(s_of_p(edge, coef, const))
+            after = math.nextafter(edge, past)
+            if -1.0 <= after <= 1.0:
+                assert not no_worse(s_of_p(after, coef, const))
+            else:
+                assert edge == (1.0 if minimizing else -1.0)
+        else:
+            # No P in [-1, 1] is no worse: not even the best end.
+            assert edge == -past
+            assert not no_worse(s_of_p(-1.0 if minimizing else 1.0, coef, const))
+        # The comparison a stage makes equals the test on S it replaces.
+        ps = np.array([-1.0, -0.5, 0.0, 1e-300, 1e-17, -1e-17, 0.5, 1.0, edge,
+                       math.nextafter(edge, -1.0), math.nextafter(edge, 1.0)])
+        ps = np.clip(np.concatenate([ps, np.linspace(-1.0, 1.0, 41)]), -1.0, 1.0)
+        with np.errstate(over="ignore"):  # as Python floats, S may reach inf
+            s = (ps + 1.0) * coef + const
+        inside = ps <= edge if minimizing else ps >= edge
+        assert np.array_equal(inside, s <= bound if minimizing else s >= bound)
+
+    @settings(max_examples=500, deadline=None)
+    @given(edge_inputs())
+    def test_edge_separates_no_worse_from_worse(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("minimizing", [True, False])
+    @pytest.mark.parametrize(
+        "p",
+        # 0 and the floats around the plateau of P + 1.0 == 1.0, where every
+        # P with |P| <= 2^-53 (or 2^-54 below 0) shares one S.
+        [0.0, 2.0 ** -53, -(2.0 ** -54), 1e-300, -1e-300, 1e-17, -1e-17,
+         1e-10, -1e-10, 3e-16, -3e-16, 0.25, -0.25],
+    )
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_edges_near_zero(self, p, nudge, minimizing):
+        bound = s_of_p(p, self.COEF, self.CONST)
+        if nudge:
+            bound = math.nextafter(bound, nudge * math.inf)
+        self.check(self.COEF, self.CONST, bound, minimizing)
+
+    @pytest.mark.parametrize("minimizing", [True, False])
+    def test_bounds_beyond_every_s(self, minimizing):
+        low = math.nextafter(s_of_p(-1.0, self.COEF, self.CONST), -math.inf)
+        high = math.nextafter(s_of_p(1.0, self.COEF, self.CONST), math.inf)
+        for bound in (low, high, -1e300, 1e300):
+            self.check(self.COEF, self.CONST, bound, minimizing)
+        # Below every S, nothing is no worse when minimizing and all is when
+        # maximizing; above every S the other way round.
+        assert extremal._p_edge(self.COEF, self.CONST, low, minimizing) == (
+            -math.inf if minimizing else -1.0
+        )
+        assert extremal._p_edge(self.COEF, self.CONST, high, minimizing) == (
+            1.0 if minimizing else math.inf
+        )
+
+    @pytest.mark.parametrize("minimizing", [True, False])
+    def test_flat_s_falls_back_to_bisection(self, monkeypatch, minimizing):
+        # A coefficient so small that S moves a few times over [-1, 1]: the
+        # estimate lands far from the edge in plateaus, so the search bisects.
+        bisected = []
+        from_ordinal = extremal._from_ordinal
+        monkeypatch.setattr(extremal, "_from_ordinal",
+                            lambda k: bisected.append(k) or from_ordinal(k))
+        coef, const = 3e-16, 1.0
+        for p in (-0.9, -0.3, 0.2, 0.7):
+            self.check(coef, const, s_of_p(p, coef, const), minimizing)
+        assert bisected
 
 
 class TestDominance:
