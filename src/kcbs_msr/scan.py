@@ -23,9 +23,17 @@ or more in magnitude, or within 1e-6 of an integer (an integer text gains
 ".0", and subnormals lie within 1e-6 of 0), so the cells with such an s or
 c take their JSON text through ``%s`` instead.
 The slabs go to a temporary file next to the target, which replaces the
-target only once the scan is complete.  ``compute_scan`` and the renderers
-hold the same grid in memory as records, for small resolutions and for
-tests.
+target only once the scan is complete.  ``compute_scan`` and the
+renderers hold the same grid in memory as records, for small resolutions
+and for tests.
+
+Formatting is nearly all of a scan's time, so ``write_scan`` spreads it
+over the CPUs the process may run on.  The caller forks one formatter per
+further CPU; only the caller evaluates, counts regimes and writes the file,
+in theta1 order, and a formatter only turns the raw arrays of the slabs it
+is sent into their text, which it sends back.  The caller thus holds one
+slab's arrays and one row of text, as a single process does, and each
+formatter one slab's text.
 """
 
 from __future__ import annotations
@@ -201,6 +209,187 @@ def _naming(exc: OSError, path: Path) -> OSError:
     return OSError(exc.errno, exc.strerror, str(path))
 
 
+def _slab_text(output_format: str, resolution: int):
+    """The scan's opening and closing text and ``rows``, which makes a slab's text.
+
+    ``rows(i, s, c, code)`` yields the text of theta1 slab ``i``, one theta2
+    row at a time, each after the separator that comes before it; ``s``,
+    ``c`` and ``code`` are the slab's flat float64 and regime-code arrays,
+    theta2 outer and delta_phi inner.  A theta2 row is a head (theta1,
+    theta2) before each of the resolution cells (delta_phi, then s, c and
+    the regime label as slots); one % fills a row, formatting s and c with
+    %.12g.  Every angle is formatted once.
+    """
+    if output_format == "csv":
+        numbers = _csv_numbers
+        opening, separator, closing = CSV_HEADER + "\n", "\n", "\n"
+        head, cell = "{},{},", "{},%.12g,%.12g,%s"
+    else:
+        numbers = _json_numbers
+        opening, separator, closing = "[", ",", "]\n"
+        head, cell = '{{"theta1":{},"theta2":{},', '"delta_phi":{},"s":%.12g,"c":%.12g,"regime":"%s"}}'
+    th_text = numbers(theta_centers(resolution).tolist())
+    cells = [cell.format(d) for d in numbers(dphi_centers(resolution).tolist())]
+    # A cell whose s or c JSON writes differently takes their text through %s.
+    text_cells = [x.replace("%.12g", "%s") for x in cells]
+    width = 3 * resolution
+
+    def rows(i, s, c, code):
+        slots = [None] * (3 * code.size)
+        slots[0::3] = s.tolist()
+        slots[1::3] = c.tolist()
+        slots[2::3] = _LABELS[code].tolist()
+        text_at = {}  # theta2 row -> its cells that take s and c as text
+        if output_format == "json":
+            for n in np.flatnonzero(_json_differs(s) | _json_differs(c)).tolist():
+                j, k = divmod(n, resolution)
+                text_at.setdefault(j, []).append(k)
+                slots[3 * n : 3 * n + 2] = _json_numbers(slots[3 * n : 3 * n + 2])
+        for j, t2 in enumerate(th_text):
+            row_cells = cells
+            if j in text_at:
+                row_cells = list(cells)
+                for k in text_at[j]:
+                    row_cells[k] = text_cells[k]
+            # Joining after an empty first cell puts the separator first.
+            row = (separator + head.format(th_text[i], t2)).join(["", *row_cells])
+            if not (i or j):
+                row = row[len(separator) :]
+            yield row % tuple(slots[j * width : (j + 1) * width])
+
+    return opening, closing, rows
+
+
+def _process_count() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or read its affinity."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _read_exact(fd: int, size: int) -> bytearray:
+    """``size`` bytes from ``fd``, or fewer if it reaches end of file first."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _format_slabs(rows, resolution: int, inbox: int, reply: int) -> None:
+    """A formatter's loop: turn each slab read from ``inbox`` into text on ``reply``.
+
+    A slab arrives as its index (8 bytes, little-endian) followed by the raw
+    bytes of s and c (float64) and of the regime codes (uint8); its text
+    goes back as the length of its UTF-8 bytes (8 bytes) and the bytes.  The
+    loop ends when the caller closes ``inbox``.
+    """
+    n = resolution * resolution
+    size = 8 + 17 * n
+    while message := _read_exact(inbox, size):
+        if len(message) < size:
+            raise EOFError("slab cut short")
+        s = np.frombuffer(message, np.float64, n, 8)
+        c = np.frombuffer(message, np.float64, n, 8 + 8 * n)
+        code = np.frombuffer(message, np.uint8, n, 8 + 16 * n)
+        text = "".join(rows(int.from_bytes(message[:8], "little"), s, c, code)).encode("utf-8")
+        _write_all(reply, len(text).to_bytes(8, "little"))
+        _write_all(reply, text)
+
+
+def _start_formatters(formatters: list, count: int, rows, resolution: int) -> None:
+    """Fork up to ``count`` formatters, appending (pid, inbox, reply) of each.
+
+    ``inbox`` and ``reply`` are the caller's ends of the formatter's two
+    pipes.  A formatter first closes every caller's end it inherited, its
+    own and those of the formatters before it; an earlier inbox held open
+    in a later formatter would never reach end of file.  It leaves only
+    through ``os._exit``, so that it flushes no inherited buffer and runs
+    none of the caller's exit handlers.  If a pipe or fork fails, the scan
+    goes on with the formatters started so far.
+    """
+    for _ in range(count):
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return
+        inbox_r, inbox_w, reply_r, reply_w = fds
+        if pid == 0:
+            status = 1
+            try:
+                for fd in [inbox_w, reply_r, *(fd for _, *ends in formatters for fd in ends)]:
+                    os.close(fd)
+                _format_slabs(rows, resolution, inbox_r, reply_w)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(inbox_r)
+        os.close(reply_w)
+        formatters.append((pid, inbox_w, reply_r))
+
+
+def _stop_formatters(formatters: list, kill: bool = False) -> None:
+    """Close the caller's ends of every formatter's pipes and reap it, first
+    killing it if ``kill``; empties ``formatters``."""
+    if kill:
+        import signal
+
+        for pid, _, _ in formatters:
+            os.kill(pid, signal.SIGKILL)
+    pids = []
+    while formatters:
+        pid, inbox, reply = formatters.pop()
+        os.close(inbox)
+        os.close(reply)
+        pids.append(pid)
+    for pid in pids:
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped already, where SIGCHLD is ignored
+            pass
+
+
+def _formatter_lost(pid: int, path: Path) -> OSError:
+    return OSError(errno.EPIPE, f"scan formatter process {pid} ended early", str(path))
+
+
+def _send(formatter, i: int, slab, path: Path) -> None:
+    """Send slab ``i``, its (s, c, code) arrays, to the formatter."""
+    pid, inbox, _ = formatter
+    try:
+        _write_all(inbox, b"".join([i.to_bytes(8, "little"), *(a.tobytes() for a in slab)]))
+    except BrokenPipeError:
+        raise _formatter_lost(pid, path) from None
+
+
+def _copy_reply(formatter, out, path: Path) -> None:
+    """Copy the text of the formatter's next slab from its pipe to ``out``."""
+    pid, _, reply = formatter
+    head = _read_exact(reply, 8)
+    if len(head) < 8:
+        raise _formatter_lost(pid, path)
+    left = int.from_bytes(head, "little")
+    while left:
+        chunk = os.read(reply, min(left, 1 << 16))
+        if not chunk:
+            raise _formatter_lost(pid, path)
+        out.write(chunk)
+        left -= len(chunk)
+
+
 def write_scan(config: ScanConfig) -> ScanSummary:
     """Run the scan and write it to the configured path, slab by slab.
 
@@ -210,68 +399,67 @@ def write_scan(config: ScanConfig) -> ScanSummary:
     cell is computed; an error opening or replacing the file names the
     target, not the temporary file.  Returns the per-regime summary; the
     counts always equal what a reader of the emitted file would recompute.
+
+    With more than one CPU the text of the slabs is made in parallel.  The
+    caller forks one formatter process per further CPU (never more than
+    there are slabs), then takes the slabs in rounds of one per process in
+    theta1 order: it evaluates each slab of the round, counts its regimes
+    and sends the raw arrays of every slab but the first to a formatter
+    over a pipe; it writes the first slab's text itself, then copies the
+    formatters' replies into the file in order.  Only the caller evaluates
+    and writes, so its memory stays at one slab's arrays and one row of
+    text, and each formatter holds one slab's text.  Every formatter is
+    reaped before this returns or raises, and killed first if it raises.  A
+    formatter that ends early fails the scan with an error naming the
+    target.  With one CPU, or where there is no ``os.fork``, the caller
+    runs the same rounds alone.
     """
     path = Path(config.output_path)
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    th = theta_centers(config.resolution)
-    dp = dphi_centers(config.resolution)
-    # A theta2 row is a head (theta1, theta2) before each of the resolution
-    # cells (delta_phi, then s, c and the regime label as slots); one % fills
-    # a row, formatting s and c with %.12g.  Every angle is formatted once.
-    if config.output_format == "csv":
-        numbers = _csv_numbers
-        opening, separator, closing = CSV_HEADER + "\n", "\n", "\n"
-        head, cell = "{},{},", "{},%.12g,%.12g,%s"
-    else:
-        numbers = _json_numbers
-        opening, separator, closing = "[", ",", "]\n"
-        head, cell = '{{"theta1":{},"theta2":{},', '"delta_phi":{},"s":%.12g,"c":%.12g,"regime":"%s"}}'
-    th_text = numbers(th.tolist())
-    cells = [cell.format(d) for d in numbers(dp.tolist())]
-    # A cell whose s or c JSON writes differently takes their text through %s.
-    text_cells = [x.replace("%.12g", "%s") for x in cells]
+    resolution = config.resolution
+    th = theta_centers(resolution)
+    dp = dphi_centers(resolution)
+    opening, closing, rows = _slab_text(config.output_format, resolution)
     counts = np.zeros(len(_LABELS), dtype=np.int64)
-    width = 3 * len(cells)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise _naming(exc, path) from None
+    formatters = []  # (pid, inbox, reply) of each forked formatter
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as out:
-            out.write(opening)
-            for i, t1 in enumerate(th_text):
-                s, c, code = _evaluate(th[i], th[:, None], dp[None, :])
-                code = code.ravel()
-                counts += np.bincount(code, minlength=len(_LABELS))
-                slots = [None] * (3 * code.size)
-                slots[0::3] = s.ravel().tolist()
-                slots[1::3] = c.ravel().tolist()
-                slots[2::3] = _LABELS[code].tolist()
-                text_at = {}  # theta2 row -> its cells that take s and c as text
-                if config.output_format == "json":
-                    for j, k in np.argwhere(_json_differs(s) | _json_differs(c)).tolist():
-                        text_at.setdefault(j, []).append(k)
-                        at = j * width + 3 * k
-                        slots[at : at + 2] = _json_numbers(slots[at : at + 2])
-                for j, t2 in enumerate(th_text):
-                    row_head = head.format(t1, t2)
-                    row_cells = cells
-                    if j in text_at:
-                        row_cells = list(cells)
-                        for k in text_at[j]:
-                            row_cells[k] = text_cells[k]
-                    if i or j:
-                        out.write(separator)
-                    row = row_head + (separator + row_head).join(row_cells)
-                    out.write(row % tuple(slots[j * width : (j + 1) * width]))
-            out.write(closing)
+        with open(fd, "wb") as out:
+            # Nothing is buffered in out yet, so a formatter inherits no text.
+            _start_formatters(formatters, min(_process_count(), resolution) - 1, rows, resolution)
+            out.write(opening.encode("utf-8"))
+            step = 1 + len(formatters)
+            for first in range(0, resolution, step):
+                for i in range(first, min(first + step, resolution)):
+                    s, c, code = _evaluate(th[i], th[:, None], dp[None, :])
+                    code = code.ravel()
+                    counts += np.bincount(code, minlength=len(_LABELS))
+                    slab = (
+                        np.asarray(s, dtype=np.float64).ravel(),
+                        np.asarray(c, dtype=np.float64).ravel(),
+                        code.astype(np.uint8),
+                    )
+                    if i == first:
+                        own = slab
+                    else:
+                        _send(formatters[i - first - 1], i, slab, path)
+                for row in rows(first, *own):
+                    out.write(row.encode("utf-8"))
+                for formatter in formatters[: min(step, resolution - first) - 1]:
+                    _copy_reply(formatter, out, path)
+            out.write(closing.encode("utf-8"))
+        _stop_formatters(formatters)
         try:
             os.replace(tmp, path)
         except OSError as exc:
             raise _naming(exc, path) from None
     except BaseException:
+        _stop_formatters(formatters, kill=True)
         tmp.unlink(missing_ok=True)
         raise
     return ScanSummary(

@@ -1,9 +1,13 @@
 """Tests for the parameter-space scan and its CSV/JSON serialization."""
 
+import errno
+import functools
 import hashlib
 import json
 import math
 import os
+import re
+import signal
 import tracemalloc
 
 import numpy as np
@@ -333,3 +337,154 @@ class TestWriteScan:
             tracemalloc.stop()
         assert path.stat().st_size == 21_736_585
         assert peak < path.stat().st_size / 4
+
+
+@functools.cache
+def _reference(resolution, fmt):
+    """The in-memory render of the scan and its regime counts."""
+    records = compute_scan(resolution)
+    render = render_csv if fmt == "csv" else render_json
+    return render(records).encode("utf-8"), regime_counts(records)
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def processes(monkeypatch):
+    """Sets the number of CPUs the scan sees; it forks one formatter per
+    CPU beyond the first.  A scan that hangs on its formatters fails the
+    test after 60 s."""
+
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    def time_out(signum, frame):
+        raise TimeoutError("the scan did not finish in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, time_out)
+    signal.alarm(60)
+    try:
+        yield use
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and os.path.isdir("/proc/self/fd")),
+    reason="needs os.fork, os.sched_getaffinity and /proc/self/fd",
+)
+class TestFormatterProcesses:
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("resolution", [2, 3, 7, 33])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_file_and_counts_equal_in_memory_scan(self, tmp_path, processes, count, resolution, fmt):
+        processes(count)
+        path = tmp_path / f"scan.{fmt}"
+        fds = _open_fds()
+        summary = write_scan(ScanConfig(resolution=resolution, output_path=path, output_format=fmt))
+        data, counts = _reference(resolution, fmt)
+        assert path.read_bytes() == data
+        assert summary.counts == counts
+        assert summary.total == resolution**3
+        _assert_no_child()
+        assert _open_fds() == fds
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch, processes, fmt):
+        processes(1)
+
+        def no_fork():
+            raise AssertionError("forked with one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = tmp_path / f"scan.{fmt}"
+        write_scan(ScanConfig(resolution=7, output_path=path, output_format=fmt))
+        assert path.read_bytes() == _reference(7, fmt)[0]
+
+    def test_no_fork_means_one_process(self, tmp_path, monkeypatch, processes):
+        processes(4)
+        monkeypatch.delattr(os, "fork")
+        path = tmp_path / "scan.csv"
+        write_scan(ScanConfig(resolution=7, output_path=path))
+        assert path.read_bytes() == _reference(7, "csv")[0]
+
+    @pytest.mark.parametrize("fail_at", [1, 3])
+    def test_failing_fork_scans_with_the_formatters_started(self, tmp_path, monkeypatch, processes, fail_at):
+        # fork fails at its fail_at-th call: with no formatter, or with one.
+        processes(4)
+        fork = os.fork
+        calls = []
+
+        def fork_until_eagain():
+            calls.append(None)
+            if len(calls) >= fail_at:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_until_eagain)
+        path = tmp_path / "scan.json"
+        fds = _open_fds()
+        write_scan(ScanConfig(resolution=7, output_path=path, output_format="json"))
+        assert path.read_bytes() == _reference(7, "json")[0]
+        _assert_no_child()
+        assert _open_fds() == fds
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_formatter_killed_mid_scan(self, tmp_path, monkeypatch, processes, count, fmt):
+        # Each formatter is killed as it starts its second slab.
+        processes(count)
+        caller = os.getpid()
+        slab_text = scan._slab_text
+
+        def dying_slab_text(*args):
+            opening, closing, rows = slab_text(*args)
+            slabs = []
+
+            def dying_rows(*slab):
+                slabs.append(slab)
+                if os.getpid() != caller and len(slabs) == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return rows(*slab)
+
+            return opening, closing, dying_rows
+
+        monkeypatch.setattr(scan, "_slab_text", dying_slab_text)
+        path = tmp_path / f"scan.{fmt}"
+        path.write_bytes(b"previous contents\n")
+        fds = _open_fds()
+        with pytest.raises(OSError, match=re.escape(str(path))):
+            write_scan(ScanConfig(resolution=9, output_path=path, output_format=fmt))
+        assert path.read_bytes() == b"previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        _assert_no_child()
+        assert _open_fds() == fds
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_caller_error_stops_formatters(self, tmp_path, monkeypatch, processes, count):
+        processes(count)
+        evaluate = scan._evaluate
+        calls = []
+
+        def fail_on_sixth_slab(*args):
+            calls.append(args)
+            if len(calls) == 6:
+                raise RuntimeError("slab failed")
+            return evaluate(*args)
+
+        monkeypatch.setattr(scan, "_evaluate", fail_on_sixth_slab)
+        path = tmp_path / "scan.csv"
+        fds = _open_fds()
+        with pytest.raises(RuntimeError, match="slab failed"):
+            write_scan(ScanConfig(resolution=9, output_path=path))
+        assert list(tmp_path.iterdir()) == []
+        _assert_no_child()
+        assert _open_fds() == fds
