@@ -23,9 +23,9 @@ or more in magnitude, or within 1e-6 of an integer (an integer text gains
 ".0", and subnormals lie within 1e-6 of 0), so the cells with such an s or
 c take their JSON text through ``%s`` instead.
 The slabs go to a temporary file next to the target, which replaces the
-target only once the scan is complete.  ``compute_scan`` and the
-renderers hold the same grid in memory as records, for small resolutions
-and for tests.
+target only once the scan is complete.  ``compute_scan`` and the renderers
+hold the same grid in memory as records, for small resolutions and for
+tests.
 
 Formatting is nearly all of a scan's time, so ``write_scan`` spreads it
 over the CPUs the process may run on.  The caller forks one formatter per
@@ -345,7 +345,7 @@ def _stop_formatters(formatters: list, kill: bool = False) -> None:
     """Close the caller's ends of every formatter's pipes and reap it, first
     killing it if ``kill``; empties ``formatters``."""
     if kill:
-        import signal
+        import signal  # here, so that importing the package does not load it
 
         for pid, _, _ in formatters:
             os.kill(pid, signal.SIGKILL)
