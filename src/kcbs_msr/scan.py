@@ -27,13 +27,18 @@ target only once the scan is complete.  ``compute_scan`` and the renderers
 hold the same grid in memory as records, for small resolutions and for
 tests.
 
-Formatting is nearly all of a scan's time, so ``write_scan`` spreads it
-over the CPUs the process may run on.  The caller forks one formatter per
-further CPU; only the caller evaluates, counts regimes and writes the file,
-in theta1 order, and a formatter only turns the raw arrays of the slabs it
-is sent into their text, which it sends back.  The caller thus holds one
-slab's arrays and one row of text, as a single process does, and each
-formatter one slab's text.
+Formatting is nearly all of a scan's time, so where the process may run on
+more than one CPU ``write_scan`` forks one formatter process (one formatter
+was measured to pay, on 2 CPUs; more CPUs fork no more).  Only the caller
+evaluates, counts regimes and writes the file, in theta1 order; the
+formatter only turns the raw arrays of the slabs it is sent into their
+text, which it sends back.  The caller thus holds one slab's arrays and one
+row of text, as a single process does; the formatter is a process of its
+own, which holds a slab's text and the caller's pages that it comes to own
+as the caller writes them, several MB all told.  From Python 3.12, where
+``os.fork`` warns in a process with more than one thread (numpy's OpenBLAS
+threads make most processes so), a scan forks only where the process has
+one thread.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import json
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -260,11 +266,32 @@ def _slab_text(output_format: str, resolution: int):
     return opening, closing, rows
 
 
-def _process_count() -> int:
-    """CPUs this process may run on; 1 where it cannot fork or read its affinity."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
+# From Python 3.12 os.fork warns (DeprecationWarning) in a process with more
+# than one thread, which numpy's OpenBLAS threads make most processes.
+_FORK_WARNS_IF_THREADED = sys.version_info >= (3, 12)
+
+
+def _thread_count() -> int:
+    """Threads of this process: its OS threads where /proc lists them, else
+    those the threading module knows of."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        import threading  # here, so that importing the package does not load it
+
+        return threading.active_count()
+
+
+def _forks_formatter() -> bool:
+    """Whether a scan forks its formatter: where it can fork, may run on more
+    than one CPU and would not fork with more than one thread where the fork
+    warns.  One formatter is all that was measured to pay (on 2 CPUs), so
+    more CPUs fork no more."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return False
+    if len(os.sched_getaffinity(0)) < 2:
+        return False
+    return not (_FORK_WARNS_IF_THREADED and _thread_count() > 1)
 
 
 def _read_exact(fd: int, size: int) -> bytearray:
@@ -284,8 +311,18 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view) :]
 
 
+def _close_fds_but(*keep: int) -> None:
+    """Close every descriptor above 2 but those in ``keep``."""
+    low = 3
+    for fd in sorted(keep):
+        if fd >= low:
+            os.closerange(low, fd)
+            low = fd + 1
+    os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+
+
 def _format_slabs(rows, resolution: int, inbox: int, reply: int) -> None:
-    """A formatter's loop: turn each slab read from ``inbox`` into text on ``reply``.
+    """The formatter's loop: turn each slab read from ``inbox`` into text on ``reply``.
 
     A slab arrives as its index (8 bytes, little-endian) followed by the raw
     bytes of s and c (float64) and of the regime codes (uint8); its text
@@ -300,66 +337,65 @@ def _format_slabs(rows, resolution: int, inbox: int, reply: int) -> None:
         s = np.frombuffer(message, np.float64, n, 8)
         c = np.frombuffer(message, np.float64, n, 8 + 8 * n)
         code = np.frombuffer(message, np.uint8, n, 8 + 16 * n)
-        text = "".join(rows(int.from_bytes(message[:8], "little"), s, c, code)).encode("utf-8")
+        text = bytearray()
+        for row in rows(int.from_bytes(message[:8], "little"), s, c, code):
+            text += row.encode("utf-8")
         _write_all(reply, len(text).to_bytes(8, "little"))
         _write_all(reply, text)
 
 
-def _start_formatters(formatters: list, count: int, rows, resolution: int) -> None:
-    """Fork up to ``count`` formatters, appending (pid, inbox, reply) of each.
+def _start_formatter(rows, resolution: int):
+    """Fork the formatter; return its pid and the caller's ends of its two
+    pipes, (pid, inbox, reply), or None if a pipe or the fork fails.
 
-    ``inbox`` and ``reply`` are the caller's ends of the formatter's two
-    pipes.  A formatter first closes every caller's end it inherited, its
-    own and those of the formatters before it; an earlier inbox held open
-    in a later formatter would never reach end of file.  It leaves only
-    through ``os._exit``, so that it flushes no inherited buffer and runs
-    none of the caller's exit handlers.  If a pipe or fork fails, the scan
-    goes on with the formatters started so far.
+    The formatter first closes every descriptor above 2 but its own ends of
+    the pipes, so that it holds open no pipe, file or socket of the caller,
+    nor of a scan running in another thread.  It leaves only through
+    ``os._exit``, so that it flushes no inherited buffer and runs none of
+    the caller's exit handlers.
     """
-    for _ in range(count):
-        fds = []
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except BaseException as exc:
+        # A formatter forked before the error reads end of file and exits.
+        for fd in fds:
+            os.close(fd)
+        if isinstance(exc, OSError):
+            return None
+        raise
+    inbox_r, inbox_w, reply_r, reply_w = fds
+    if pid == 0:
+        status = 1
         try:
-            fds += os.pipe()
-            fds += os.pipe()
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            return
-        inbox_r, inbox_w, reply_r, reply_w = fds
-        if pid == 0:
-            status = 1
-            try:
-                for fd in [inbox_w, reply_r, *(fd for _, *ends in formatters for fd in ends)]:
-                    os.close(fd)
-                _format_slabs(rows, resolution, inbox_r, reply_w)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(inbox_r)
-        os.close(reply_w)
-        formatters.append((pid, inbox_w, reply_r))
+            _close_fds_but(inbox_r, reply_w)
+            _format_slabs(rows, resolution, inbox_r, reply_w)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(inbox_r)
+    os.close(reply_w)
+    return pid, inbox_w, reply_r
 
 
-def _stop_formatters(formatters: list, kill: bool = False) -> None:
-    """Close the caller's ends of every formatter's pipes and reap it, first
-    killing it if ``kill``; empties ``formatters``."""
+def _stop_formatter(formatter, kill: bool = False) -> None:
+    """Close the caller's ends of the formatter's pipes and reap it, first
+    killing it if ``kill``; does nothing for None."""
+    if formatter is None:
+        return
+    pid, inbox, reply = formatter
     if kill:
         import signal  # here, so that importing the package does not load it
 
-        for pid, _, _ in formatters:
-            os.kill(pid, signal.SIGKILL)
-    pids = []
-    while formatters:
-        pid, inbox, reply = formatters.pop()
-        os.close(inbox)
-        os.close(reply)
-        pids.append(pid)
-    for pid in pids:
-        try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:  # reaped already, where SIGCHLD is ignored
-            pass
+        os.kill(pid, signal.SIGKILL)
+    os.close(inbox)
+    os.close(reply)
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:  # reaped already, where SIGCHLD is ignored
+        pass
 
 
 def _formatter_lost(pid: int, path: Path) -> OSError:
@@ -400,19 +436,18 @@ def write_scan(config: ScanConfig) -> ScanSummary:
     target, not the temporary file.  Returns the per-regime summary; the
     counts always equal what a reader of the emitted file would recompute.
 
-    With more than one CPU the text of the slabs is made in parallel.  The
-    caller forks one formatter process per further CPU (never more than
-    there are slabs), then takes the slabs in rounds of one per process in
-    theta1 order: it evaluates each slab of the round, counts its regimes
-    and sends the raw arrays of every slab but the first to a formatter
-    over a pipe; it writes the first slab's text itself, then copies the
-    formatters' replies into the file in order.  Only the caller evaluates
-    and writes, so its memory stays at one slab's arrays and one row of
-    text, and each formatter holds one slab's text.  Every formatter is
-    reaped before this returns or raises, and killed first if it raises.  A
-    formatter that ends early fails the scan with an error naming the
-    target.  With one CPU, or where there is no ``os.fork``, the caller
-    runs the same rounds alone.
+    Where the process may run on more than one CPU, and can fork there
+    without a warning, the text of the slabs is made in two processes.  The
+    caller forks one formatter process, then takes the slabs in pairs in
+    theta1 order: it evaluates both slabs of a pair, counts their regimes
+    and sends the raw arrays of the second to the formatter over a pipe; it
+    writes the first slab's text itself, then copies the formatter's reply
+    into the file.  Only the caller evaluates and writes, so its own memory
+    stays at one slab's arrays and one row of text; the formatter, a
+    process of its own, holds one slab's text.  The formatter is reaped
+    before this returns or raises, and killed first if it raises; one that
+    ends early fails the scan with an error naming the target.  Otherwise
+    the caller takes the slabs one at a time alone.
     """
     path = Path(config.output_path)
     if path.is_dir():
@@ -427,39 +462,43 @@ def write_scan(config: ScanConfig) -> ScanSummary:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise _naming(exc, path) from None
-    formatters = []  # (pid, inbox, reply) of each forked formatter
+    formatter = None  # (pid, inbox, reply) of the forked formatter
     try:
-        with open(fd, "wb") as out:
-            # Nothing is buffered in out yet, so a formatter inherits no text.
-            _start_formatters(formatters, min(_process_count(), resolution) - 1, rows, resolution)
-            out.write(opening.encode("utf-8"))
-            step = 1 + len(formatters)
-            for first in range(0, resolution, step):
-                for i in range(first, min(first + step, resolution)):
-                    s, c, code = _evaluate(th[i], th[:, None], dp[None, :])
-                    code = code.ravel()
-                    counts += np.bincount(code, minlength=len(_LABELS))
-                    slab = (
-                        np.asarray(s, dtype=np.float64).ravel(),
-                        np.asarray(c, dtype=np.float64).ravel(),
-                        code.astype(np.uint8),
-                    )
-                    if i == first:
-                        own = slab
-                    else:
-                        _send(formatters[i - first - 1], i, slab, path)
-                for row in rows(first, *own):
-                    out.write(row.encode("utf-8"))
-                for formatter in formatters[: min(step, resolution - first) - 1]:
-                    _copy_reply(formatter, out, path)
-            out.write(closing.encode("utf-8"))
-        _stop_formatters(formatters)
+        try:
+            with open(fd, "wb") as out:
+                # Nothing is buffered in out yet, so the formatter inherits no text.
+                if _forks_formatter():
+                    formatter = _start_formatter(rows, resolution)
+                out.write(opening.encode("utf-8"))
+                step = 1 if formatter is None else 2
+                for first in range(0, resolution, step):
+                    for i in range(first, min(first + step, resolution)):
+                        s, c, code = _evaluate(th[i], th[:, None], dp[None, :])
+                        code = code.ravel()
+                        counts += np.bincount(code, minlength=len(_LABELS))
+                        slab = (
+                            np.asarray(s, dtype=np.float64).ravel(),
+                            np.asarray(c, dtype=np.float64).ravel(),
+                            code.astype(np.uint8),
+                        )
+                        if i == first:
+                            own = slab
+                        else:
+                            _send(formatter, i, slab, path)
+                    for row in rows(first, *own):
+                        out.write(row.encode("utf-8"))
+                    if i != first:
+                        _copy_reply(formatter, out, path)
+                out.write(closing.encode("utf-8"))
+        except BaseException:
+            _stop_formatter(formatter, kill=True)
+            raise
+        _stop_formatter(formatter)
         try:
             os.replace(tmp, path)
         except OSError as exc:
             raise _naming(exc, path) from None
     except BaseException:
-        _stop_formatters(formatters, kill=True)
         tmp.unlink(missing_ok=True)
         raise
     return ScanSummary(

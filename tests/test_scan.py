@@ -356,10 +356,17 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _forks(count):
+    """Formatters a scan that sees ``count`` CPUs forks: one beyond the
+    first CPU, none where a fork in this process would warn."""
+    warns = scan._FORK_WARNS_IF_THREADED and scan._thread_count() > 1
+    return int(count > 1 and not warns)
+
+
 @pytest.fixture
 def processes(monkeypatch):
-    """Sets the number of CPUs the scan sees; it forks one formatter per
-    CPU beyond the first.  A scan that hangs on its formatters fails the
+    """Sets the number of CPUs the scan sees; it forks one formatter if
+    there are more than one.  A scan that hangs on its formatter fails the
     test after 60 s."""
 
     def use(count):
@@ -377,6 +384,22 @@ def processes(monkeypatch):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the processes ``os.fork`` starts during the test."""
+    fork = os.fork
+    pids = []
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
 @pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and os.path.isdir("/proc/self/fd")),
     reason="needs os.fork, os.sched_getaffinity and /proc/self/fd",
@@ -385,7 +408,9 @@ class TestFormatterProcesses:
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     @pytest.mark.parametrize("resolution", [2, 3, 7, 33])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_file_and_counts_equal_in_memory_scan(self, tmp_path, processes, count, resolution, fmt):
+    def test_file_and_counts_equal_in_memory_scan(
+        self, tmp_path, processes, forked, count, resolution, fmt
+    ):
         processes(count)
         path = tmp_path / f"scan.{fmt}"
         fds = _open_fds()
@@ -394,6 +419,7 @@ class TestFormatterProcesses:
         assert path.read_bytes() == data
         assert summary.counts == counts
         assert summary.total == resolution**3
+        assert len(forked) == _forks(count)
         _assert_no_child()
         assert _open_fds() == fds
 
@@ -416,20 +442,40 @@ class TestFormatterProcesses:
         write_scan(ScanConfig(resolution=7, output_path=path))
         assert path.read_bytes() == _reference(7, "csv")[0]
 
-    @pytest.mark.parametrize("fail_at", [1, 3])
-    def test_failing_fork_scans_with_the_formatters_started(self, tmp_path, monkeypatch, processes, fail_at):
-        # fork fails at its fail_at-th call: with no formatter, or with one.
-        processes(4)
-        fork = os.fork
+    def test_no_fork_where_it_warns_in_threads(self, tmp_path, monkeypatch, processes):
+        # From Python 3.12 os.fork warns in a process with more than one thread.
+        processes(2)
+        monkeypatch.setattr(scan, "_FORK_WARNS_IF_THREADED", True)
+        monkeypatch.setattr(scan, "_thread_count", lambda: 2)
+
+        def no_fork():
+            raise AssertionError("forked in a process with two threads")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = tmp_path / "scan.json"
+        write_scan(ScanConfig(resolution=7, output_path=path, output_format="json"))
+        assert path.read_bytes() == _reference(7, "json")[0]
+
+    @pytest.mark.parametrize("failing", ["pipe", "fork"])
+    def test_failing_pipe_or_fork_scans_alone(self, tmp_path, monkeypatch, processes, failing):
+        # The second os.pipe call fails, or os.fork does.
+        processes(2)
+        pipe = os.pipe
         calls = []
 
-        def fork_until_eagain():
+        def pipe_once():
             calls.append(None)
-            if len(calls) >= fail_at:
-                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-            return fork()
+            if len(calls) == 2:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return pipe()
 
-        monkeypatch.setattr(os, "fork", fork_until_eagain)
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        if failing == "pipe":
+            monkeypatch.setattr(os, "pipe", pipe_once)
+        else:
+            monkeypatch.setattr(os, "fork", no_fork)
         path = tmp_path / "scan.json"
         fds = _open_fds()
         write_scan(ScanConfig(resolution=7, output_path=path, output_format="json"))
@@ -437,11 +483,88 @@ class TestFormatterProcesses:
         _assert_no_child()
         assert _open_fds() == fds
 
-    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_error_after_fork_closes_the_pipes(self, tmp_path, monkeypatch, processes):
+        # A fork that raises once the child exists (as a warning turned into
+        # an error would): the scan fails, and the child reads end of file
+        # and exits by itself.
+        processes(2)
+        fork = os.fork
+        pids = []
+
+        def fork_then_raise():
+            pid = fork()
+            if pid == 0:
+                return pid
+            pids.append(pid)
+            raise RuntimeError("after fork")
+
+        monkeypatch.setattr(os, "fork", fork_then_raise)
+        path = tmp_path / "scan.csv"
+        fds = _open_fds()
+        with pytest.raises(RuntimeError, match="after fork"):
+            write_scan(ScanConfig(resolution=7, output_path=path))
+        assert _open_fds() == fds
+        assert list(tmp_path.iterdir()) == []
+        assert os.waitpid(pids[0], 0) == (pids[0], 0)
+        _assert_no_child()
+
+    def test_formatter_holds_only_its_pipes(self, tmp_path, monkeypatch, processes):
+        # Every other descriptor, such as this unrelated pipe, is closed in it.
+        processes(2)
+        copy_reply = scan._copy_reply
+        held = []
+
+        def spying_copy_reply(formatter, out, path):
+            copy_reply(formatter, out, path)  # the formatter has started by its reply
+            held.append(set(os.listdir(f"/proc/{formatter[0]}/fd")) - {"0", "1", "2"})
+
+        monkeypatch.setattr(scan, "_copy_reply", spying_copy_reply)
+        unrelated = os.pipe()
+        try:
+            write_scan(ScanConfig(resolution=5, output_path=tmp_path / "scan.csv"))
+        finally:
+            os.close(unrelated[0])
+            os.close(unrelated[1])
+        assert len(held) == 2 * _forks(2)
+        assert all(len(fds) == 2 for fds in held)
+
+    def test_scans_in_two_threads(self, tmp_path, monkeypatch, processes):
+        # Both scans make their pipes before either forks, so each formatter
+        # inherits the other scan's pipes; neither may hold them open.
+        processes(2)
+        import threading
+
+        barrier = threading.Barrier(2, timeout=20)
+        fork = os.fork
+
+        def fork_together():
+            barrier.wait()
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_together)
+        errors = []
+
+        def run(fmt):
+            try:
+                write_scan(ScanConfig(resolution=33, output_path=tmp_path / f"scan.{fmt}", output_format=fmt))
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(fmt,), daemon=True) for fmt in ("csv", "json")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(20)
+        assert not any(thread.is_alive() for thread in threads), "the scans hang"
+        assert errors == []
+        for fmt in ("csv", "json"):
+            assert (tmp_path / f"scan.{fmt}").read_bytes() == _reference(33, fmt)[0]
+        _assert_no_child()
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_formatter_killed_mid_scan(self, tmp_path, monkeypatch, processes, count, fmt):
-        # Each formatter is killed as it starts its second slab.
-        processes(count)
+    def test_formatter_killed_mid_scan(self, tmp_path, monkeypatch, processes, fmt):
+        # The formatter is killed as it starts its second slab.
+        processes(2)
         caller = os.getpid()
         slab_text = scan._slab_text
 
@@ -461,16 +584,18 @@ class TestFormatterProcesses:
         path = tmp_path / f"scan.{fmt}"
         path.write_bytes(b"previous contents\n")
         fds = _open_fds()
-        with pytest.raises(OSError, match=re.escape(str(path))):
+        if _forks(2):
+            with pytest.raises(OSError, match=re.escape(str(path))):
+                write_scan(ScanConfig(resolution=9, output_path=path, output_format=fmt))
+            assert path.read_bytes() == b"previous contents\n"
+        else:
             write_scan(ScanConfig(resolution=9, output_path=path, output_format=fmt))
-        assert path.read_bytes() == b"previous contents\n"
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         _assert_no_child()
         assert _open_fds() == fds
 
-    @pytest.mark.parametrize("count", [2, 3, 4])
-    def test_caller_error_stops_formatters(self, tmp_path, monkeypatch, processes, count):
-        processes(count)
+    def test_caller_error_stops_formatter(self, tmp_path, monkeypatch, processes):
+        processes(2)
         evaluate = scan._evaluate
         calls = []
 
