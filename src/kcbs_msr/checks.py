@@ -58,6 +58,9 @@ from .states import (
 __all__ = ["CheckResult", "run_all_checks"]
 
 _C_GRID = [k / 10.0 for k in range(11)]
+# Largest error allowed the numeric extremal search against the closed forms,
+# here and in the ``extremal --method both`` command.
+_ORACLE_TOLERANCE = 1e-6
 
 # Star pairs per batch of the sampled checks: memory stays flat in the
 # sample count, and the arrays stay small enough for the CPU caches.
@@ -205,8 +208,8 @@ def _check_extremal_oracle(grid_n: int, refine_iters: int) -> list[CheckResult]:
         found_max = numeric_extremal_search(c, "maximize", grid_n, refine_iters)
         max_err = max(max_err, abs(found_max.s_star - SPECTRUM_MAX))
     return [
-        _result("smin-numeric-oracle", min_err, 1e-6),
-        _result("smax-constancy", max_err, 1e-6),
+        _result("smin-numeric-oracle", min_err, _ORACLE_TOLERANCE),
+        _result("smax-constancy", max_err, _ORACLE_TOLERANCE),
     ]
 
 

@@ -18,7 +18,7 @@ import functools
 import math
 import sys
 
-from .checks import run_all_checks
+from .checks import _ORACLE_TOLERANCE, run_all_checks
 from .classify import classify_state
 from .extremal import (
     extremal_witnesses,
@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_IO = 3
-
-ORACLE_TOLERANCE = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,10 +114,10 @@ def _cmd_extremal(args) -> int:
         if args.method == "both":
             discrepancy = abs(found.s_star - closed)
             print(f"discrepancy = {discrepancy:.3e}")
-            if discrepancy <= ORACLE_TOLERANCE:
-                print(f"result: PASS (tolerance {ORACLE_TOLERANCE:g})")
+            if discrepancy <= _ORACLE_TOLERANCE:
+                print(f"result: PASS (tolerance {_ORACLE_TOLERANCE:g})")
             else:
-                print(f"result: FAIL (tolerance {ORACLE_TOLERANCE:g})")
+                print(f"result: FAIL (tolerance {_ORACLE_TOLERANCE:g})")
                 return EXIT_VERIFY_FAILED
     return EXIT_OK
 

@@ -28,17 +28,19 @@ hold the same grid in memory as records, for small resolutions and for
 tests.
 
 Formatting is nearly all of a scan's time, so where the process may run on
-more than one CPU ``write_scan`` forks one formatter process (one formatter
-was measured to pay, on 2 CPUs; more CPUs fork no more).  Only the caller
-evaluates, counts regimes and writes the file, in theta1 order; the
-formatter only turns the raw arrays of the slabs it is sent into their
-text, which it sends back.  The caller thus holds one slab's arrays and one
-row of text, as a single process does; the formatter is a process of its
-own, which holds a slab's text and the caller's pages that it comes to own
-as the caller writes them, several MB all told.  From Python 3.12, where
-``os.fork`` warns in a process with more than one thread (numpy's OpenBLAS
-threads make most processes so), a scan forks only where the process has
-one thread.
+more than one CPU ``write_scan`` forks one helper process (one was measured
+to pay, on 2 CPUs; more CPUs fork no more).  The two processes run the same
+slab loop over contiguous halves of the theta1 slabs: the caller writes the
+first half to the temporary file, and the helper writes the second half to
+an unnamed part file in the same directory and then sends its regime counts,
+its only message.  The caller appends the part file to its own half, so
+until that copy ends the scan takes about half the output again in disk
+space.  Each process holds one slab's arrays and one row of text; the helper
+also comes to own the caller's pages that the caller writes after the fork,
+which leaves it 3-7 MB of private memory at resolutions 64-128.  From
+Python 3.12, where ``os.fork`` warns in a process with more than one thread
+(numpy's OpenBLAS threads make most processes so), a scan forks only where
+the process has one thread.
 """
 
 from __future__ import annotations
@@ -48,7 +50,10 @@ import json
 import math
 import operator
 import os
+import shutil
 import sys
+import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -277,16 +282,14 @@ def _thread_count() -> int:
     try:
         return len(os.listdir("/proc/self/task"))
     except OSError:
-        import threading  # here, so that importing the package does not load it
-
         return threading.active_count()
 
 
-def _forks_formatter() -> bool:
-    """Whether a scan forks its formatter: where it can fork, may run on more
+def _forks_helper() -> bool:
+    """Whether a scan forks its helper: where it can fork, may run on more
     than one CPU and would not fork with more than one thread where the fork
-    warns.  One formatter is all that was measured to pay (on 2 CPUs), so
-    more CPUs fork no more."""
+    warns.  One helper is all that was measured to pay (on 2 CPUs), so more
+    CPUs fork no more."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return False
     if len(os.sched_getaffinity(0)) < 2:
@@ -294,21 +297,26 @@ def _forks_formatter() -> bool:
     return not (_FORK_WARNS_IF_THREADED and _thread_count() > 1)
 
 
-def _read_exact(fd: int, size: int) -> bytearray:
-    """``size`` bytes from ``fd``, or fewer if it reaches end of file first."""
-    data = bytearray()
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            break
-        data += chunk
-    return data
+def _write_slabs(out, slabs, rows, th: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """Evaluate the theta1 slabs ``slabs`` in turn and write their text to
+    ``out``; return their regime counts."""
+    counts = np.zeros(len(_LABELS), dtype=np.int64)
+    for i in slabs:
+        s, c, code = _evaluate(th[i], th[:, None], dp[None, :])
+        code = np.ravel(code)
+        counts += np.bincount(code, minlength=len(_LABELS))
+        for row in rows(i, np.ravel(s), np.ravel(c), code):
+            out.write(row.encode("utf-8"))
+    return counts
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
+def _while_parent_is(caller: int, slabs):
+    """``slabs``, but raise before the next one once this process's parent
+    is no longer ``caller``, that is once ``caller`` has ended."""
+    for i in slabs:
+        if os.getppid() != caller:
+            raise ChildProcessError(f"scan caller {caller} has ended")
+        yield i
 
 
 def _close_fds_but(*keep: int) -> None:
@@ -321,109 +329,78 @@ def _close_fds_but(*keep: int) -> None:
     os.closerange(low, os.sysconf("SC_OPEN_MAX"))
 
 
-def _format_slabs(rows, resolution: int, inbox: int, reply: int) -> None:
-    """The formatter's loop: turn each slab read from ``inbox`` into text on ``reply``.
+def _start_helper(directory: Path, slabs, rows, th: np.ndarray, dp: np.ndarray):
+    """Fork the helper that writes the text of ``slabs`` to an unnamed part
+    file in ``directory``; return (pid, pipe, part), its pid, the read end
+    of its pipe and the part file, or None if any of the three fails.
 
-    A slab arrives as its index (8 bytes, little-endian) followed by the raw
-    bytes of s and c (float64) and of the regime codes (uint8); its text
-    goes back as the length of its UTF-8 bytes (8 bytes) and the bytes.  The
-    loop ends when the caller closes ``inbox``.
+    The helper first closes every descriptor above 2 but the part file and
+    its end of the pipe, so that it holds open no pipe, file or socket of
+    the caller, nor of a scan running in another thread.  Once the part
+    file is complete it writes its regime counts, three int64, to the pipe.
+    It leaves only through ``os._exit``, so that it flushes no inherited
+    buffer and runs none of the caller's exit handlers.
     """
-    n = resolution * resolution
-    size = 8 + 17 * n
-    while message := _read_exact(inbox, size):
-        if len(message) < size:
-            raise EOFError("slab cut short")
-        s = np.frombuffer(message, np.float64, n, 8)
-        c = np.frombuffer(message, np.float64, n, 8 + 8 * n)
-        code = np.frombuffer(message, np.uint8, n, 8 + 16 * n)
-        text = bytearray()
-        for row in rows(int.from_bytes(message[:8], "little"), s, c, code):
-            text += row.encode("utf-8")
-        _write_all(reply, len(text).to_bytes(8, "little"))
-        _write_all(reply, text)
-
-
-def _start_formatter(rows, resolution: int):
-    """Fork the formatter; return its pid and the caller's ends of its two
-    pipes, (pid, inbox, reply), or None if a pipe or the fork fails.
-
-    The formatter first closes every descriptor above 2 but its own ends of
-    the pipes, so that it holds open no pipe, file or socket of the caller,
-    nor of a scan running in another thread.  It leaves only through
-    ``os._exit``, so that it flushes no inherited buffer and runs none of
-    the caller's exit handlers.
-    """
-    fds = []
+    part, fds = None, []
     try:
+        part = tempfile.TemporaryFile(dir=directory)
         fds += os.pipe()
-        fds += os.pipe()
+        caller = os.getpid()
         pid = os.fork()
     except BaseException as exc:
-        # A formatter forked before the error reads end of file and exits.
+        # A helper forked before the error finds no reader for its counts.
         for fd in fds:
             os.close(fd)
+        if part is not None:
+            part.close()
         if isinstance(exc, OSError):
             return None
         raise
-    inbox_r, inbox_w, reply_r, reply_w = fds
+    pipe, counts_w = fds
     if pid == 0:
         status = 1
         try:
-            _close_fds_but(inbox_r, reply_w)
-            _format_slabs(rows, resolution, inbox_r, reply_w)
+            _close_fds_but(part.fileno(), counts_w)
+            counts = _write_slabs(part, _while_parent_is(caller, slabs), rows, th, dp)
+            part.flush()
+            os.write(counts_w, counts.tobytes())
             status = 0
         finally:
             os._exit(status)
-    os.close(inbox_r)
-    os.close(reply_w)
-    return pid, inbox_w, reply_r
+    os.close(counts_w)
+    return pid, pipe, part
 
 
-def _stop_formatter(formatter, kill: bool = False) -> None:
-    """Close the caller's ends of the formatter's pipes and reap it, first
-    killing it if ``kill``; does nothing for None."""
-    if formatter is None:
+def _join_helper(helper, out, path: Path) -> np.ndarray:
+    """Wait for the helper's counts, then copy its part file after what
+    ``out`` holds; return the counts.  A helper that fails raises an error
+    naming ``path``."""
+    pid, pipe, part = helper
+    counts = os.read(pipe, 24)  # written at once, or end of file if it failed
+    if len(counts) < 24:
+        raise OSError(errno.EPIPE, f"scan helper process {pid} failed", str(path))
+    out.flush()
+    part.seek(0)
+    shutil.copyfileobj(part, out, 1 << 16)
+    return np.frombuffer(counts, np.int64)
+
+
+def _stop_helper(helper, kill: bool = False) -> None:
+    """Reap the helper, first killing it if ``kill``, and close the caller's
+    end of its pipe and its part file; does nothing for None."""
+    if helper is None:
         return
-    pid, inbox, reply = formatter
+    pid, pipe, part = helper
     if kill:
         import signal  # here, so that importing the package does not load it
 
         os.kill(pid, signal.SIGKILL)
-    os.close(inbox)
-    os.close(reply)
+    os.close(pipe)
+    part.close()
     try:
         os.waitpid(pid, 0)
     except ChildProcessError:  # reaped already, where SIGCHLD is ignored
         pass
-
-
-def _formatter_lost(pid: int, path: Path) -> OSError:
-    return OSError(errno.EPIPE, f"scan formatter process {pid} ended early", str(path))
-
-
-def _send(formatter, i: int, slab, path: Path) -> None:
-    """Send slab ``i``, its (s, c, code) arrays, to the formatter."""
-    pid, inbox, _ = formatter
-    try:
-        _write_all(inbox, b"".join([i.to_bytes(8, "little"), *(a.tobytes() for a in slab)]))
-    except BrokenPipeError:
-        raise _formatter_lost(pid, path) from None
-
-
-def _copy_reply(formatter, out, path: Path) -> None:
-    """Copy the text of the formatter's next slab from its pipe to ``out``."""
-    pid, _, reply = formatter
-    head = _read_exact(reply, 8)
-    if len(head) < 8:
-        raise _formatter_lost(pid, path)
-    left = int.from_bytes(head, "little")
-    while left:
-        chunk = os.read(reply, min(left, 1 << 16))
-        if not chunk:
-            raise _formatter_lost(pid, path)
-        out.write(chunk)
-        left -= len(chunk)
 
 
 def write_scan(config: ScanConfig) -> ScanSummary:
@@ -436,18 +413,16 @@ def write_scan(config: ScanConfig) -> ScanSummary:
     target, not the temporary file.  Returns the per-regime summary; the
     counts always equal what a reader of the emitted file would recompute.
 
-    Where the process may run on more than one CPU, and can fork there
-    without a warning, the text of the slabs is made in two processes.  The
-    caller forks one formatter process, then takes the slabs in pairs in
-    theta1 order: it evaluates both slabs of a pair, counts their regimes
-    and sends the raw arrays of the second to the formatter over a pipe; it
-    writes the first slab's text itself, then copies the formatter's reply
-    into the file.  Only the caller evaluates and writes, so its own memory
-    stays at one slab's arrays and one row of text; the formatter, a
-    process of its own, holds one slab's text.  The formatter is reaped
-    before this returns or raises, and killed first if it raises; one that
-    ends early fails the scan with an error naming the target.  Otherwise
-    the caller takes the slabs one at a time alone.
+    Where the process may run on more than one CPU and can fork there
+    without a warning, a forked helper evaluates and writes slabs
+    [resolution // 2, resolution) to an unnamed part file in the target's
+    directory while the caller does the slabs before them; the caller then
+    reads the helper's regime counts and copies the part file after its own
+    half, which takes about half the output again in disk space until the
+    copy ends.  The helper is reaped before this returns or raises, and
+    killed first if the caller raises; a helper that fails fails the scan
+    with an error naming the target, and one whose caller has ended stops at
+    its next slab.
     """
     path = Path(config.output_path)
     if path.is_dir():
@@ -456,44 +431,28 @@ def write_scan(config: ScanConfig) -> ScanSummary:
     th = theta_centers(resolution)
     dp = dphi_centers(resolution)
     opening, closing, rows = _slab_text(config.output_format, resolution)
-    counts = np.zeros(len(_LABELS), dtype=np.int64)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise _naming(exc, path) from None
-    formatter = None  # (pid, inbox, reply) of the forked formatter
+    helper = None  # (pid, pipe, part) of the forked helper
     try:
         try:
             with open(fd, "wb") as out:
-                # Nothing is buffered in out yet, so the formatter inherits no text.
-                if _forks_formatter():
-                    formatter = _start_formatter(rows, resolution)
+                # Nothing is buffered in out yet, so the helper inherits no text.
+                if _forks_helper():
+                    helper = _start_helper(path.parent, range(resolution // 2, resolution), rows, th, dp)
+                half = resolution if helper is None else resolution // 2
                 out.write(opening.encode("utf-8"))
-                step = 1 if formatter is None else 2
-                for first in range(0, resolution, step):
-                    for i in range(first, min(first + step, resolution)):
-                        s, c, code = _evaluate(th[i], th[:, None], dp[None, :])
-                        code = code.ravel()
-                        counts += np.bincount(code, minlength=len(_LABELS))
-                        slab = (
-                            np.asarray(s, dtype=np.float64).ravel(),
-                            np.asarray(c, dtype=np.float64).ravel(),
-                            code.astype(np.uint8),
-                        )
-                        if i == first:
-                            own = slab
-                        else:
-                            _send(formatter, i, slab, path)
-                    for row in rows(first, *own):
-                        out.write(row.encode("utf-8"))
-                    if i != first:
-                        _copy_reply(formatter, out, path)
+                counts = _write_slabs(out, range(half), rows, th, dp)
+                if helper is not None:
+                    counts += _join_helper(helper, out, path)
                 out.write(closing.encode("utf-8"))
         except BaseException:
-            _stop_formatter(formatter, kill=True)
+            _stop_helper(helper, kill=True)
             raise
-        _stop_formatter(formatter)
+        _stop_helper(helper)
         try:
             os.replace(tmp, path)
         except OSError as exc:

@@ -8,7 +8,12 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
+import textwrap
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,23 +232,25 @@ class TestWriteScan:
         assert list(summary.counts) == [regime.value for regime in Regime]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_failed_scan_keeps_previous_file(self, tmp_path, monkeypatch, fmt):
+    def test_failed_scan_keeps_previous_file(self, tmp_path, monkeypatch, processes, fmt):
+        # Slab 1 fails; it is the caller's with one process or two.
         path = tmp_path / f"scan.{fmt}"
-        path.write_bytes(b"previous contents\n")
         evaluate = scan._evaluate
-        calls = []
+        th = scan.theta_centers(4).tolist()
 
-        def fail_on_second_slab(*args):
-            calls.append(args)
-            if len(calls) == 2:
+        def fail_on_second_slab(theta1, *args):
+            if th.index(float(theta1)) == 1:
                 raise RuntimeError("slab failed")
-            return evaluate(*args)
+            return evaluate(theta1, *args)
 
         monkeypatch.setattr(scan, "_evaluate", fail_on_second_slab)
-        with pytest.raises(RuntimeError, match="slab failed"):
-            write_scan(ScanConfig(resolution=4, output_path=path, output_format=fmt))
-        assert path.read_bytes() == b"previous contents\n"
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        for count in (1, 2):
+            processes(count)
+            path.write_bytes(b"previous contents\n")
+            with pytest.raises(RuntimeError, match="slab failed"):
+                write_scan(ScanConfig(resolution=4, output_path=path, output_format=fmt))
+            assert path.read_bytes() == b"previous contents\n"
+            assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_replaces_existing_file(self, tmp_path):
         path = tmp_path / "scan.csv"
@@ -253,66 +260,73 @@ class TestWriteScan:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize(("fmt", "render"), [("csv", render_csv), ("json", render_json)])
-    def test_edge_values_equal_in_memory_render(self, tmp_path, monkeypatch, fmt, render):
+    def test_edge_values_equal_in_memory_render(
+        self, tmp_path, monkeypatch, processes, forked, fmt, render
+    ):
         # Slab 0 holds ordinary values only; slabs 1-3 put the edge values
-        # in s, in c and in both, so rows with and without them mix.
+        # in s, in c and in both, so rows with and without them mix.  With
+        # two processes slabs 0-1 are the caller's and 2-4 the helper's.
         resolution = 5
-        rng = np.random.default_rng(5)
-        slabs = []
+        th = scan.theta_centers(resolution).tolist()
+        dp = scan.dphi_centers(resolution).tolist()
 
-        def edge_values_evaluate(*args):
+        def edge_values_evaluate(theta1, *args):
+            k = th.index(float(theta1))
+            rng = np.random.default_rng((5, k))
             s = rng.uniform(-4.0, 1.0, (resolution, resolution))
             c = rng.uniform(0.0, 1.0, (resolution, resolution))
-            k = len(slabs)
             edges = np.array(EDGE_VALUES)
             if k in (1, 3):
                 s.flat[: edges.size] = edges
             if k in (2, 3):
                 c.flat[-edges.size :] = edges[::-1]
             code = np.arange(resolution**2).reshape(resolution, resolution) % 3
-            slabs.append((s, c, code))
             return s, c, code
 
         monkeypatch.setattr(scan, "_evaluate", edge_values_evaluate)
-        path = tmp_path / f"scan.{fmt}"
-        write_scan(ScanConfig(resolution=resolution, output_path=path, output_format=fmt))
-        th = scan.theta_centers(resolution).tolist()
-        dp = scan.dphi_centers(resolution).tolist()
         records = [
             ScanRecord(t1, t2, d, s[j, k], c[j, k], scan._LABELS[code[j, k]])
-            for t1, (s, c, code) in zip(th, slabs)
+            for t1, (s, c, code) in zip(th, map(edge_values_evaluate, th))
             for j, t2 in enumerate(th)
             for k, d in enumerate(dp)
         ]
-        assert path.read_bytes() == render(records).encode("utf-8")
+        path = tmp_path / f"scan.{fmt}"
+        for count in (1, 2):
+            processes(count)
+            write_scan(ScanConfig(resolution=resolution, output_path=path, output_format=fmt))
+            assert path.read_bytes() == render(records).encode("utf-8")
+        assert len(forked) == _forks(2)
 
-    def test_non_finite_values_parse_as_json(self, tmp_path, monkeypatch):
+    def test_non_finite_values_parse_as_json(self, tmp_path, monkeypatch, processes, forked):
         # JSON has no nan or inf literal; json.dumps writes NaN and Infinity.
+        # With two processes each slab is in its own half.
         values = [
             (np.array([[math.nan, 0.25], [math.inf, -math.inf]]), np.array([[0.5, math.nan], [1.0, 2.5]])),
             (np.array([[-1.5, -3.0], [0.125, -2.5]]), np.array([[math.inf, -math.inf], [0.75, math.nan]])),
         ]
         code = np.array([[0, 1], [2, 0]])
-        slabs = iter(values)
+        th = scan.theta_centers(2).tolist()
+        dp = scan.dphi_centers(2).tolist()
 
-        def non_finite_evaluate(*args):
-            s, c = next(slabs)
+        def non_finite_evaluate(theta1, *args):
+            s, c = values[th.index(float(theta1))]
             return s, c, code
 
         monkeypatch.setattr(scan, "_evaluate", non_finite_evaluate)
-        path = tmp_path / "scan.json"
-        write_scan(ScanConfig(resolution=2, output_path=path, output_format="json"))
-        th = scan.theta_centers(2).tolist()
-        dp = scan.dphi_centers(2).tolist()
         records = [
             ScanRecord(t1, t2, d, s[j, k], c[j, k], scan._LABELS[code[j, k]])
             for t1, (s, c) in zip(th, values)
             for j, t2 in enumerate(th)
             for k, d in enumerate(dp)
         ]
-        text = path.read_text(encoding="utf-8")
-        assert len(json.loads(text)) == 8
-        assert text == render_json(records)
+        path = tmp_path / "scan.json"
+        for count in (1, 2):
+            processes(count)
+            write_scan(ScanConfig(resolution=2, output_path=path, output_format="json"))
+            text = path.read_text(encoding="utf-8")
+            assert len(json.loads(text)) == 8
+            assert text == render_json(records)
+        assert len(forked) == _forks(2)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
     def test_resident_memory_flat_over_repeated_scans(self, tmp_path):
@@ -351,23 +365,33 @@ def _open_fds():
     return sorted(os.listdir("/proc/self/fd"))
 
 
+def _ended(pid):
+    """Whether process ``pid`` has exited: gone, or a zombie that its new
+    parent has not reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def _forks(count):
-    """Formatters a scan that sees ``count`` CPUs forks: one beyond the
-    first CPU, none where a fork in this process would warn."""
+    """Helpers a scan that sees ``count`` CPUs forks: one beyond the first
+    CPU, none where a fork in this process would warn."""
     warns = scan._FORK_WARNS_IF_THREADED and scan._thread_count() > 1
     return int(count > 1 and not warns)
 
 
 @pytest.fixture
 def processes(monkeypatch):
-    """Sets the number of CPUs the scan sees; it forks one formatter if
-    there are more than one.  A scan that hangs on its formatter fails the
-    test after 60 s."""
+    """Sets the number of CPUs the scan sees; it forks one helper if there
+    are more than one.  A scan that hangs on its helper fails the test
+    after 60 s."""
 
     def use(count):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
@@ -458,22 +482,17 @@ class TestFormatterProcesses:
 
     @pytest.mark.parametrize("failing", ["pipe", "fork"])
     def test_failing_pipe_or_fork_scans_alone(self, tmp_path, monkeypatch, processes, failing):
-        # The second os.pipe call fails, or os.fork does.
+        # os.pipe fails once the part file is open, or os.fork does.
         processes(2)
-        pipe = os.pipe
-        calls = []
 
-        def pipe_once():
-            calls.append(None)
-            if len(calls) == 2:
-                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
-            return pipe()
+        def no_pipe():
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
 
         def no_fork():
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
         if failing == "pipe":
-            monkeypatch.setattr(os, "pipe", pipe_once)
+            monkeypatch.setattr(os, "pipe", no_pipe)
         else:
             monkeypatch.setattr(os, "fork", no_fork)
         path = tmp_path / "scan.json"
@@ -485,8 +504,9 @@ class TestFormatterProcesses:
 
     def test_error_after_fork_closes_the_pipes(self, tmp_path, monkeypatch, processes):
         # A fork that raises once the child exists (as a warning turned into
-        # an error would): the scan fails, and the child reads end of file
-        # and exits by itself.
+        # an error would): the scan fails, and the child writes its half,
+        # finds no reader for its counts (or leaves them unread) and exits
+        # by itself.
         processes(2)
         fork = os.fork
         pids = []
@@ -505,32 +525,40 @@ class TestFormatterProcesses:
             write_scan(ScanConfig(resolution=7, output_path=path))
         assert _open_fds() == fds
         assert list(tmp_path.iterdir()) == []
-        assert os.waitpid(pids[0], 0) == (pids[0], 0)
+        pid, status = os.waitpid(pids[0], 0)
+        assert pid == pids[0] and os.WIFEXITED(status)
         _assert_no_child()
 
-    def test_formatter_holds_only_its_pipes(self, tmp_path, monkeypatch, processes):
-        # Every other descriptor, such as this unrelated pipe, is closed in it.
+    def test_formatter_holds_only_its_pipes(self, tmp_path, monkeypatch, processes, forked):
+        # The helper holds its part file and its end of the pipe; every other
+        # descriptor, such as this unrelated pipe, is closed in it.  It checks
+        # at each of its slabs, and a stray descriptor fails the scan.
         processes(2)
-        copy_reply = scan._copy_reply
-        held = []
+        caller = os.getpid()
+        evaluate = scan._evaluate
 
-        def spying_copy_reply(formatter, out, path):
-            copy_reply(formatter, out, path)  # the formatter has started by its reply
-            held.append(set(os.listdir(f"/proc/{formatter[0]}/fd")) - {"0", "1", "2"})
+        def checking_evaluate(*args):
+            if os.getpid() != caller:
+                # The listing holds its own descriptor of /proc/self/fd.
+                held = set(os.listdir("/proc/self/fd")) - {"0", "1", "2"}
+                if len(held) != 3:
+                    raise AssertionError(f"the helper holds {sorted(held)}")
+            return evaluate(*args)
 
-        monkeypatch.setattr(scan, "_copy_reply", spying_copy_reply)
+        monkeypatch.setattr(scan, "_evaluate", checking_evaluate)
         unrelated = os.pipe()
         try:
             write_scan(ScanConfig(resolution=5, output_path=tmp_path / "scan.csv"))
         finally:
             os.close(unrelated[0])
             os.close(unrelated[1])
-        assert len(held) == 2 * _forks(2)
-        assert all(len(fds) == 2 for fds in held)
+        assert (tmp_path / "scan.csv").read_bytes() == _reference(5, "csv")[0]
+        assert len(forked) == _forks(2)
 
     def test_scans_in_two_threads(self, tmp_path, monkeypatch, processes):
-        # Both scans make their pipes before either forks, so each formatter
-        # inherits the other scan's pipes; neither may hold them open.
+        # Both scans make their pipes before either forks, so each helper
+        # inherits the other scan's pipe and part file; neither may hold
+        # them open.
         processes(2)
         import threading
 
@@ -563,7 +591,7 @@ class TestFormatterProcesses:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_formatter_killed_mid_scan(self, tmp_path, monkeypatch, processes, fmt):
-        # The formatter is killed as it starts its second slab.
+        # The helper is killed as it starts its second slab.
         processes(2)
         caller = os.getpid()
         slab_text = scan._slab_text
@@ -594,22 +622,69 @@ class TestFormatterProcesses:
         _assert_no_child()
         assert _open_fds() == fds
 
-    def test_caller_error_stops_formatter(self, tmp_path, monkeypatch, processes):
+    @pytest.mark.parametrize("half", ["caller", "helper"])
+    def test_error_in_either_half_fails_the_scan(self, tmp_path, monkeypatch, processes, half):
+        # Slab 2 of 9 is the caller's and slab 6 the helper's.  The caller's
+        # error is raised as it is; the helper's fails the scan with an
+        # error naming the target.
         processes(2)
         evaluate = scan._evaluate
-        calls = []
+        th = scan.theta_centers(9).tolist()
+        failing = 2 if half == "caller" else 6
 
-        def fail_on_sixth_slab(*args):
-            calls.append(args)
-            if len(calls) == 6:
+        def fail_on_one_slab(theta1, *args):
+            if th.index(float(theta1)) == failing:
                 raise RuntimeError("slab failed")
-            return evaluate(*args)
+            return evaluate(theta1, *args)
 
-        monkeypatch.setattr(scan, "_evaluate", fail_on_sixth_slab)
+        monkeypatch.setattr(scan, "_evaluate", fail_on_one_slab)
         path = tmp_path / "scan.csv"
+        path.write_bytes(b"previous contents\n")
         fds = _open_fds()
-        with pytest.raises(RuntimeError, match="slab failed"):
+        if half == "helper" and _forks(2):
+            error = pytest.raises(OSError, match=re.escape(str(path)))
+        else:
+            error = pytest.raises(RuntimeError, match="slab failed")
+        with error:
             write_scan(ScanConfig(resolution=9, output_path=path))
-        assert list(tmp_path.iterdir()) == []
+        assert path.read_bytes() == b"previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
         _assert_no_child()
         assert _open_fds() == fds
+
+    def test_helper_of_killed_caller_exits(self, tmp_path):
+        # A caller killed mid-scan leaves its helper to another parent; the
+        # helper stops at its next slab, not after its 16 s half.
+        script = textwrap.dedent("""
+        import os, sys, time
+        from kcbs_msr import scan
+        os.sched_getaffinity = lambda pid: {0, 1}
+        if not scan._forks_helper():
+            sys.exit(0)
+        evaluate, fork = scan._evaluate, os.fork
+
+        def slow_evaluate(*args):
+            time.sleep(0.5)
+            return evaluate(*args)
+
+        def reporting_fork():
+            pid = fork()
+            if pid:
+                print(pid, flush=True)
+            return pid
+
+        scan._evaluate, os.fork = slow_evaluate, reporting_fork
+        scan.write_scan(scan.ScanConfig(resolution=64, output_path=sys.argv[1]))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(scan.__file__).parents[1]))
+        argv = [sys.executable, "-c", script, str(tmp_path / "scan.csv")]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, env=env, text=True) as caller:
+            line = caller.stdout.readline()
+            if not line:
+                pytest.skip("the scan forks no helper in a new interpreter here")
+            helper = int(line)
+            caller.kill()
+        deadline = time.monotonic() + 5.0
+        while not _ended(helper):
+            assert time.monotonic() < deadline, "the helper outlived its caller by 5 s"
+            time.sleep(0.05)
