@@ -1,11 +1,13 @@
 """Self-verification: every closed form checked against an independent route.
 
-Each check reports its worst observed error against the tolerance it must
-meet; the collection is what the ``verify`` CLI subcommand runs.  The
-checks deliberately pair routes that share no code: closed forms against
-the matrix expectation, the diagonal operator against the pentagram
-construction, the linear minimum law against a constrained grid search,
-and the threshold concurrence against bisection.
+The ``verify`` CLI subcommand runs these checks.  One table, ``_TOLERANCES``,
+holds each check's name and tolerance in the order ``verify`` prints them.
+Each group of checks returns only its worst observed errors, keyed by check
+name, so a new check is one table row and one key in the group that computes
+it.  The groups pair routes that share no code: closed forms against the
+matrix expectation, the diagonal operator against the pentagram
+construction, the linear minimum law against a constrained grid search, and
+the threshold concurrence against bisection.
 """
 
 from __future__ import annotations
@@ -68,19 +70,36 @@ _CHUNK = 4096
 # Azimuth by which global-phase-invariance turns both stars.
 _PHASE_SHIFT = 0.7
 _CONTEXTUAL = tuple(Regime).index(Regime.CONTEXTUAL_NONLOCAL)
-# The sampled checks that report a largest error, with their tolerances,
-# in the order in which :func:`_chunk_errors` returns the errors.
-_SAMPLED_CHECKS = (
-    ("qutrit-normalization", 1e-12),
-    ("star-swap-symmetry", 1e-12),
-    ("global-phase-invariance", 1e-12),
-    ("f-range-and-overlap-roundtrip", 1e-12),
-    ("s-four-way-equivalence", 1e-12),
-    ("concurrence-equivalence", 1e-12),
-    ("s-and-c-range", 1e-12),
-    ("spectral-containment", 1e-12),
-    ("smin-dominance", 1e-10),
-)
+# How far below the threshold C a contextual state counts against
+# contextual-implies-entangled: a margin on C, not that check's tolerance (0).
+_THRESHOLD_MARGIN = 1e-10
+
+# Every check, in the order ``verify`` prints them, and the error it allows.
+_TOLERANCES = {
+    "qutrit-normalization": 1e-12,
+    "star-swap-symmetry": 1e-12,
+    "global-phase-invariance": 1e-12,
+    "f-range-and-overlap-roundtrip": 1e-12,
+    "s-four-way-equivalence": 1e-12,
+    "concurrence-equivalence": 1e-12,
+    "s-and-c-range": 1e-12,
+    "concurrence-roundtrip": 1e-12,
+    "diag-vs-pentagram": 1e-10,
+    "frame-rotation-invariance": 1e-10,
+    "classical-bound-is-minus-3": 0.0,
+    "classical-bound-vs-oracle": 0.0,
+    "spectral-containment": 1e-12,
+    "smin-numeric-oracle": _ORACLE_TOLERANCE,
+    "smax-constancy": _ORACLE_TOLERANCE,
+    "extremal-tightness": 1e-10,
+    "threshold-solves-minus-3": 1e-12,
+    "threshold-vs-bisection": 1e-10,
+    "chsh-endpoints": 1e-12,
+    "chsh-smin-composition": 1e-12,
+    "chsh-offset-proportionality": 1e-10,
+    "smin-dominance": 1e-10,
+    "contextual-implies-entangled": 0.0,
+}
 
 
 @dataclass(frozen=True)
@@ -96,14 +115,10 @@ class CheckResult:
         object.__setattr__(self, "passed", self.max_error <= self.tolerance)
 
 
-def _result(name: str, max_error: float, tolerance: float) -> CheckResult:
-    return CheckResult(name=name, max_error=float(max_error), tolerance=tolerance)
-
-
-def _chunk_errors(thetas: np.ndarray, phis: np.ndarray) -> tuple:
-    """The ten sampled checks on one chunk of star angles: the largest error
-    of each of ``_SAMPLED_CHECKS``, then the count of contextual states at
-    or below the threshold concurrence."""
+def _chunk_errors(thetas: np.ndarray, phis: np.ndarray) -> tuple[dict, int]:
+    """The sampled checks on one chunk of star angles: the largest error of
+    each by check name, and the count of contextual states at or below the
+    threshold concurrence."""
     t1, t2 = thetas[:, 0], thetas[:, 1]
     p1, p2 = phis[:, 0], phis[:, 1]
     v = _qutrit_rows(t1, p1, t2, p2)
@@ -114,60 +129,54 @@ def _chunk_errors(thetas: np.ndarray, phis: np.ndarray) -> tuple:
     x, y, f = _overlap_parts(t1, t2, p1 - p2)
     c = concurrence_of_overlap(f)
     s = s_of_overlap(f, y)
-    expectation = _expectation_rows(v, kcbs_operator_diagonal())
+    ev = _expectation_rows(v, kcbs_operator_diagonal())
     # The closed forms only: the matrix expectation's range is spectral-containment's.
     closed = np.stack((s, s_of_parts(x, y), s_of_concurrence(c, y)))
     lowest, highest = closed.min(axis=0), closed.max(axis=0)
     contextual = np.digitize(s, REGIME_EDGES) == _CONTEXTUAL
-    errors = (
-        np.abs(_vdot_rows(v, v).real - 1.0),
-        np.abs(v - swapped),
-        np.abs(np.abs(v) ** 2 - np.abs(w) ** 2),
-        np.maximum(np.abs(f) - 1.0, np.abs(np.cos(2.0 * _overlap_angles(f)) - f)),
-        np.maximum(highest, expectation) - np.minimum(lowest, expectation),
-        np.abs(c - _concurrence_rows(v)),
-        np.maximum.reduce(
+    errors = {
+        "qutrit-normalization": np.abs(_vdot_rows(v, v).real - 1.0),
+        "star-swap-symmetry": np.abs(v - swapped),
+        "global-phase-invariance": np.abs(np.abs(v) ** 2 - np.abs(w) ** 2),
+        "f-range-and-overlap-roundtrip": np.maximum(
+            np.abs(f) - 1.0, np.abs(np.cos(2.0 * _overlap_angles(f)) - f)
+        ),
+        "s-four-way-equivalence": np.maximum(highest, ev) - np.minimum(lowest, ev),
+        "concurrence-equivalence": np.abs(c - _concurrence_rows(v)),
+        "s-and-c-range": np.maximum.reduce(
             (SPECTRUM_MIN - lowest, highest - SPECTRUM_MAX, -c, c - 1.0)
         ),
-        np.maximum(SPECTRUM_MIN - expectation, expectation - SPECTRUM_MAX),
-        np.maximum(s_min_of(c) - s, s - SPECTRUM_MAX),
-    )
-    violations = np.count_nonzero(contextual & (c <= concurrence_threshold() - 1e-10))
-    return (*(float(np.max(e, initial=0.0)) for e in errors), violations)
+        "spectral-containment": np.maximum(SPECTRUM_MIN - ev, ev - SPECTRUM_MAX),
+        "smin-dominance": np.maximum(s_min_of(c) - s, s - SPECTRUM_MAX),
+    }
+    below = c <= concurrence_threshold() - _THRESHOLD_MARGIN
+    largest = {name: float(np.max(e, initial=0.0)) for name, e in errors.items()}
+    return largest, np.count_nonzero(contextual & below)
 
 
-def _check_samples(thetas: np.ndarray, phis: np.ndarray) -> list[CheckResult]:
-    """Every check on the sampled star angles, batched over chunks of
-    ``_CHUNK`` pairs; results in the order :func:`run_all_checks` splices
-    them in.  Each result is a maximum or a sum over the pairs, so the
-    chunking cannot change it."""
+def _check_samples(thetas: np.ndarray, phis: np.ndarray) -> dict[str, float]:
+    """The sampled checks on the star angles, batched over chunks of
+    ``_CHUNK`` pairs.  Each error is a maximum or a sum over the pairs, so
+    the chunking cannot change it."""
     per_chunk = [
         _chunk_errors(thetas[k : k + _CHUNK], phis[k : k + _CHUNK])
         for k in range(0, len(thetas), _CHUNK)
     ]
-    *errors, violations = zip(*per_chunk)
-    return [
-        *(
-            _result(name, np.max(chunk_errors), tolerance)
-            for (name, tolerance), chunk_errors in zip(_SAMPLED_CHECKS, errors)
-        ),
-        _result("contextual-implies-entangled", float(sum(violations)), 0.0),
-    ]
+    errors, violations = zip(*per_chunk)
+    largest = {name: np.max([e[name] for e in errors]) for name in errors[0]}
+    return {**largest, "contextual-implies-entangled": float(sum(violations))}
 
 
-def _check_concurrence_roundtrip() -> CheckResult:
+def _check_concurrence_roundtrip() -> dict[str, float]:
     err = 0.0
     for c in _C_GRID:
         err = max(err, abs(concurrence_of_overlap(f_from_concurrence(c)) - c))
-    return _result("concurrence-roundtrip", err, 1e-12)
+    return {"concurrence-roundtrip": err}
 
 
-def _check_operator_construction() -> list[CheckResult]:
-    diag = kcbs_operator_diagonal()
+def _check_operator_construction() -> dict[str, float]:
     frame = pentagram_vectors()
     built = kcbs_operator_from_frame(frame)
-    cross_err = float(np.max(np.abs(built - diag)))
-
     # Rotating the frame about its symmetry axis by the azimuthal step
     # permutes the directions, so the operator must not change.
     step = 4.0 * math.pi / 5.0
@@ -178,28 +187,27 @@ def _check_operator_construction() -> list[CheckResult]:
             [0.0, 0.0, 1.0],
         ]
     )
-    rotated = frame.vectors @ rot.T
-    rotation_err = float(np.max(np.abs(kcbs_operator_from_frame(rotated) - built)))
-    return [
-        _result("diag-vs-pentagram", cross_err, 1e-10),
-        _result("frame-rotation-invariance", rotation_err, 1e-10),
-    ]
+    rotated = kcbs_operator_from_frame(frame.vectors @ rot.T)
+    return {
+        "diag-vs-pentagram": np.max(np.abs(built - kcbs_operator_diagonal())),
+        "frame-rotation-invariance": np.max(np.abs(rotated - built)),
+    }
 
 
-def _check_classical_bound() -> list[CheckResult]:
+def _check_classical_bound() -> dict[str, float]:
     values = assignment_values()
     # Independent enumeration, written directly against the five-cycle sum.
     oracle = min(
         sum(x[j] * x[(j + 1) % 5] for j in range(5))
         for x in itertools.product((-1, 1), repeat=5)
     )
-    return [
-        _result("classical-bound-is-minus-3", abs(values.min() - (-3)), 0.0),
-        _result("classical-bound-vs-oracle", abs(values.min() - oracle), 0.0),
-    ]
+    return {
+        "classical-bound-is-minus-3": abs(values.min() - (-3)),
+        "classical-bound-vs-oracle": abs(values.min() - oracle),
+    }
 
 
-def _check_extremal_oracle(grid_n: int, refine_iters: int) -> list[CheckResult]:
+def _check_extremal_oracle(grid_n: int, refine_iters: int) -> dict[str, float]:
     min_err = 0.0
     max_err = 0.0
     for c in _C_GRID:
@@ -207,13 +215,10 @@ def _check_extremal_oracle(grid_n: int, refine_iters: int) -> list[CheckResult]:
         min_err = max(min_err, abs(found_min.s_star - s_min_for_concurrence(c)))
         found_max = numeric_extremal_search(c, "maximize", grid_n, refine_iters)
         max_err = max(max_err, abs(found_max.s_star - SPECTRUM_MAX))
-    return [
-        _result("smin-numeric-oracle", min_err, _ORACLE_TOLERANCE),
-        _result("smax-constancy", max_err, _ORACLE_TOLERANCE),
-    ]
+    return {"smin-numeric-oracle": min_err, "smax-constancy": max_err}
 
 
-def _check_extremal_tightness() -> CheckResult:
+def _check_extremal_tightness() -> dict[str, float]:
     err = 0.0
     for c in _C_GRID:
         for objective, target in (
@@ -222,17 +227,15 @@ def _check_extremal_tightness() -> CheckResult:
         ):
             witnesses = extremal_witnesses(c, objective)
             if not witnesses:
-                return _result("extremal-tightness", math.inf, 1e-10)
+                return {"extremal-tightness": math.inf}
             for t1, t2, dphi in witnesses:
                 err = max(err, abs(concurrence_function(t1, t2, dphi) - c))
                 err = max(err, abs(s_function(t1, t2, dphi) - target))
-    return _result("extremal-tightness", err, 1e-10)
+    return {"extremal-tightness": err}
 
 
-def _check_threshold() -> list[CheckResult]:
+def _check_threshold() -> dict[str, float]:
     c_star = concurrence_threshold()
-    eq_err = abs(s_min_for_concurrence(c_star) - (-3.0))
-
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -240,14 +243,13 @@ def _check_threshold() -> list[CheckResult]:
             lo = mid
         else:
             hi = mid
-    bisect_err = abs(c_star - 0.5 * (lo + hi))
-    return [
-        _result("threshold-solves-minus-3", eq_err, 1e-12),
-        _result("threshold-vs-bisection", bisect_err, 1e-10),
-    ]
+    return {
+        "threshold-solves-minus-3": abs(s_min_for_concurrence(c_star) - (-3.0)),
+        "threshold-vs-bisection": abs(c_star - 0.5 * (lo + hi)),
+    }
 
 
-def _check_chsh() -> list[CheckResult]:
+def _check_chsh() -> dict[str, float]:
     endpoint_err = max(
         abs(chsh_max(0.0) - 2.0), abs(chsh_max(1.0) - 2.0 * math.sqrt(2.0))
     )
@@ -261,11 +263,11 @@ def _check_chsh() -> list[CheckResult]:
     for beta in np.linspace(2.0 + 1e-9, 2.0 * math.sqrt(2.0), 64):
         ratio = (s_min_from_beta(float(beta)) + SQRT5) / math.sqrt(beta * beta - 4.0)
         ratio_err = max(ratio_err, abs(ratio - expected))
-    return [
-        _result("chsh-endpoints", endpoint_err, 1e-12),
-        _result("chsh-smin-composition", comp_err, 1e-12),
-        _result("chsh-offset-proportionality", ratio_err, 1e-10),
-    ]
+    return {
+        "chsh-endpoints": endpoint_err,
+        "chsh-smin-composition": comp_err,
+        "chsh-offset-proportionality": ratio_err,
+    }
 
 
 def run_all_checks(
@@ -279,19 +281,17 @@ def run_all_checks(
         raise ValueError(f"samples must be at least 1: got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative: got {seed}")
-    *head, spectral, dominance, implication = _check_samples(
-        *_sample_angles(samples, seed)
-    )
+    errors = {
+        **_check_samples(*_sample_angles(samples, seed)),
+        **_check_concurrence_roundtrip(),
+        **_check_operator_construction(),
+        **_check_classical_bound(),
+        **_check_extremal_oracle(grid_n, refine_iters),
+        **_check_extremal_tightness(),
+        **_check_threshold(),
+        **_check_chsh(),
+    }
     return [
-        *head,
-        _check_concurrence_roundtrip(),
-        *_check_operator_construction(),
-        *_check_classical_bound(),
-        spectral,
-        *_check_extremal_oracle(grid_n, refine_iters),
-        _check_extremal_tightness(),
-        *_check_threshold(),
-        *_check_chsh(),
-        dominance,
-        implication,
+        CheckResult(name, float(errors[name]), tolerance)
+        for name, tolerance in _TOLERANCES.items()
     ]
