@@ -4,10 +4,12 @@ The ``verify`` CLI subcommand runs these checks.  One table, ``_TOLERANCES``,
 holds each check's name and tolerance in the order ``verify`` prints them.
 Each group of checks returns only its worst observed errors, keyed by check
 name, so a new check is one table row and one key in the group that computes
-it.  The groups pair routes that share no code: closed forms against the
-matrix expectation, the diagonal operator against the pentagram
-construction, the linear minimum law against a constrained grid search, and
-the threshold concurrence against bisection.
+it.  They fold errors with np.max, which keeps a NaN (Python's max(0.0, nan)
+is 0.0), so a route that returns NaN fails its check.  The groups pair
+routes that share no code: closed forms against the matrix expectation, the
+diagonal operator against the pentagram construction, the linear minimum
+law against a constrained grid search, and the threshold concurrence
+against bisection.
 """
 
 from __future__ import annotations
@@ -168,10 +170,8 @@ def _check_samples(thetas: np.ndarray, phis: np.ndarray) -> dict[str, float]:
 
 
 def _check_concurrence_roundtrip() -> dict[str, float]:
-    err = 0.0
-    for c in _C_GRID:
-        err = max(err, abs(concurrence_of_overlap(f_from_concurrence(c)) - c))
-    return {"concurrence-roundtrip": err}
+    errors = [abs(concurrence_of_overlap(f_from_concurrence(c)) - c) for c in _C_GRID]
+    return {"concurrence-roundtrip": np.max(errors)}
 
 
 def _check_operator_construction() -> dict[str, float]:
@@ -208,18 +208,17 @@ def _check_classical_bound() -> dict[str, float]:
 
 
 def _check_extremal_oracle(grid_n: int, refine_iters: int) -> dict[str, float]:
-    min_err = 0.0
-    max_err = 0.0
+    min_errors, max_errors = [], []
     for c in _C_GRID:
         found_min = numeric_extremal_search(c, "minimize", grid_n, refine_iters)
-        min_err = max(min_err, abs(found_min.s_star - s_min_for_concurrence(c)))
+        min_errors.append(abs(found_min.s_star - s_min_for_concurrence(c)))
         found_max = numeric_extremal_search(c, "maximize", grid_n, refine_iters)
-        max_err = max(max_err, abs(found_max.s_star - SPECTRUM_MAX))
-    return {"smin-numeric-oracle": min_err, "smax-constancy": max_err}
+        max_errors.append(abs(found_max.s_star - SPECTRUM_MAX))
+    return {"smin-numeric-oracle": np.max(min_errors), "smax-constancy": np.max(max_errors)}
 
 
 def _check_extremal_tightness() -> dict[str, float]:
-    err = 0.0
+    errors = []
     for c in _C_GRID:
         for objective, target in (
             ("minimize", s_min_for_concurrence(c)),
@@ -229,9 +228,9 @@ def _check_extremal_tightness() -> dict[str, float]:
             if not witnesses:
                 return {"extremal-tightness": math.inf}
             for t1, t2, dphi in witnesses:
-                err = max(err, abs(concurrence_function(t1, t2, dphi) - c))
-                err = max(err, abs(s_function(t1, t2, dphi) - target))
-    return {"extremal-tightness": err}
+                errors.append(abs(concurrence_function(t1, t2, dphi) - c))
+                errors.append(abs(s_function(t1, t2, dphi) - target))
+    return {"extremal-tightness": np.max(errors)}
 
 
 def _check_threshold() -> dict[str, float]:
@@ -250,23 +249,19 @@ def _check_threshold() -> dict[str, float]:
 
 
 def _check_chsh() -> dict[str, float]:
-    endpoint_err = max(
-        abs(chsh_max(0.0) - 2.0), abs(chsh_max(1.0) - 2.0 * math.sqrt(2.0))
-    )
-    comp_err = 0.0
-    for c in _C_GRID:
-        comp_err = max(
-            comp_err, abs(s_min_from_beta(chsh_max(c)) - s_min_for_concurrence(c))
-        )
-    ratio_err = 0.0
+    endpoint_errors = [abs(chsh_max(0.0) - 2.0), abs(chsh_max(1.0) - 2.0 * math.sqrt(2.0))]
+    comp_errors = [
+        abs(s_min_from_beta(chsh_max(c)) - s_min_for_concurrence(c)) for c in _C_GRID
+    ]
+    ratio_errors = []
     expected = (5.0 - 3.0 * SQRT5) / 2.0
     for beta in np.linspace(2.0 + 1e-9, 2.0 * math.sqrt(2.0), 64):
         ratio = (s_min_from_beta(float(beta)) + SQRT5) / math.sqrt(beta * beta - 4.0)
-        ratio_err = max(ratio_err, abs(ratio - expected))
+        ratio_errors.append(abs(ratio - expected))
     return {
-        "chsh-endpoints": endpoint_err,
-        "chsh-smin-composition": comp_err,
-        "chsh-offset-proportionality": ratio_err,
+        "chsh-endpoints": np.max(endpoint_errors),
+        "chsh-smin-composition": np.max(comp_errors),
+        "chsh-offset-proportionality": np.max(ratio_errors),
     }
 
 

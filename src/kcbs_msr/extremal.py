@@ -20,7 +20,6 @@ beta = 2 sqrt(1 + c^2), through which S_min + sqrt(5) is proportional to
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Literal
 
@@ -56,6 +55,13 @@ _FEASIBILITY_SLACK = 1e-12
 # np.cos(a +/- b) by at most 6.7e-16 (3 ulp of 1) over the first stage and
 # 400 seeded refine windows, 150 times less than the guard.
 _COS_GUARD = 1e-13
+
+# Width by which the search widens the plain inverse of S = (P + 1.0) * coef
+# + const toward worse S before it compares P with it: for every c, coef is
+# in [1.71, 3.42], and the last P whose rounded S is no worse than a bound
+# lay at most 4.4e-16 (2 ulp of 1) from the inverse over 1.7 million seeded
+# and fuzzed bounds, 225 times less than the guard.
+_EDGE_GUARD = 1e-13
 
 
 def s_min_of(c):
@@ -141,95 +147,6 @@ def _validate_objective(objective: str) -> None:
         raise ValueError(f"objective must be 'minimize' or 'maximize': got {objective!r}")
 
 
-# Plateaus of p + 1.0 the edge search steps over before it bisects.
-_EDGE_STEPS = 8
-
-
-def _plateau_end(p: float, toward: float) -> float:
-    """The farthest float in [-1, 1] from ``p`` toward ``toward`` with the
-    same p + 1.0.
-
-    Below p = -0.5 the sum is exact, so p is alone.  From there up, u - 1.0
-    is exact for u = p + 1.0, and so is u - 1.0 plus half the gap to the
-    neighbouring u: the point where rounding switches to that neighbour.  A
-    tie rounds to even, which may be the neighbour, and then the end is the
-    float before it.
-    """
-    u = p + 1.0
-    if u < 0.5:
-        return p
-    end = (u - 1.0) + (math.nextafter(u, toward) - u) / 2.0
-    if end + 1.0 != u:
-        end = math.nextafter(end, -toward)
-    return min(end, 1.0)
-
-
-def _ordinal(x: float) -> int:
-    """Rank of ``x`` in the float ordering: adjacent floats differ by 1."""
-    (i,) = struct.unpack("<q", struct.pack("<d", x))
-    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _from_ordinal(k: int) -> float:
-    (x,) = struct.unpack("<d", struct.pack("<q", k if k >= 0 else -k - (1 << 63)))
-    return x
-
-
-def _p_edge(s_coef: float, s_const: float, bound: float, minimizing: bool) -> float:
-    """The edge of the P in [-1, 1] whose S = (P + 1.0) * s_coef + s_const
-    is no worse than ``bound``, for s_coef > 0.
-
-    Each rounding step of S is monotone in P, so S is no worse than the
-    bound exactly where P <= edge when minimizing and P >= edge when
-    maximizing, and S at the edge is no worse.  If no P in [-1, 1] is, the edge is -inf (minimizing) or
-    inf (maximizing).  The search starts at the real-valued inverse and
-    steps a plateau of P + 1.0 at a time, since S is constant on one; near
-    P = 0 a plateau holds up to 2^62 floats.  After ``_EDGE_STEPS`` steps it
-    bisects over the float ordering, which any s_coef and s_const allow.
-    """
-    worse = math.inf if minimizing else -math.inf  # the direction S gets worse in
-    last = 1.0 if minimizing else -1.0
-    first = -last
-
-    def no_worse(p):
-        s = (p + 1.0) * s_coef + s_const
-        return s <= bound if minimizing else s >= bound
-
-    p = min(1.0, max(-1.0, (bound - s_const) / s_coef - 1.0))
-    if no_worse(p):
-        for _ in range(_EDGE_STEPS):
-            p = _plateau_end(p, worse)
-            if p == last:
-                return last
-            after = math.nextafter(p, worse)
-            if not no_worse(after):
-                return p
-            p = after
-        if no_worse(last):
-            return last
-        good, bad = p, last
-    else:
-        for _ in range(_EDGE_STEPS):
-            p = _plateau_end(p, -worse)
-            if p == first:
-                return -worse
-            before = math.nextafter(p, -worse)
-            if no_worse(before):
-                return before
-            p = before
-        if not no_worse(first):
-            return -worse
-        good, bad = first, p
-    good, bad = _ordinal(good), _ordinal(bad)
-    while abs(bad - good) > 1:
-        mid = (good + bad) // 2
-        if no_worse(_from_ordinal(mid)):
-            good = mid
-        else:
-            bad = mid
-    return _from_ordinal(good)
-
-
 def numeric_extremal_search(
     c: float,
     objective: Objective = "minimize",
@@ -260,20 +177,25 @@ def numeric_extremal_search(
     S can tell apart.  The sums differ from np.cos(theta1 +/- theta2) by a
     few ulp, so the product form decides a cell only where both sums lie
     farther than ``_COS_GUARD`` (1e-13) from their bounds.  A cell inside
-    that band whose S is no worse than the best found so far is re-decided
-    with np.cos(theta1 +/- theta2), so every cell gets the decision np.cos
-    would give it.
+    that band that passes the test on S below is re-decided with
+    np.cos(theta1 +/- theta2), so every cell gets the decision np.cos would
+    give it.
 
-    A cell whose S is worse than the best found so far is never kept (the
-    first stage has no best, so it keeps every feasible cell).  The result
-    is that of keeping every feasible cell: a worse cell could never
+    A stage picks no cell whose S is worse than the best found so far (the
+    first stage has no best, so every feasible cell counts).  The result is
+    that of picking from every feasible cell: a worse cell could never
     replace the best, and every cell holding the stage's extreme value is
-    decided, so the lowest-index tie-break holds.  S = (P + 1.0) * coef +
-    const with coef > 0 is a chain of monotone roundings of P, so "S no
-    worse than the best" is one comparison of P with a scalar edge, the
-    last float P at which the rounded S is no worse (``_p_edge``).  The
-    stage computes S only on the kept cells, taken in ascending flat order
-    by np.flatnonzero, so argmin / argmax still return the lowest index.
+    decided, so the lowest-index tie-break holds.  This test, too, is a
+    cheap one with a guard band and an exact one.  S = (P + 1.0) * coef +
+    const rises with P, so the cheap test compares P with the plain inverse
+    (best - const) / coef - 1.0, widened by ``_EDGE_GUARD`` (1e-13) toward
+    worse S: with coef in [1.71, 3.42] the roundings of S and the inverse
+    move the edge by a few ulp of 1, so every cell whose S is no worse
+    passes, and perhaps a few just worse.  The stage computes S only on the
+    cells that pass, in ascending flat order by np.flatnonzero, so argmin /
+    argmax return the lowest index, and tests the extreme S exactly: if it
+    is worse than the best, every cell is; if not, it and its first index
+    lie among the cells no worse than the best.
     """
     f_t = f_from_concurrence(c)
     _validate_objective(objective)
@@ -286,7 +208,8 @@ def numeric_extremal_search(
     s_coef = 4.0 * (3.0 * SQRT5 - 5.0) / (f_t + 3.0)
     s_const = 5.0 - 4.0 * SQRT5
     minimizing = objective == "minimize"
-    p_inside = np.less_equal if minimizing else np.greater_equal
+    no_worse = np.less_equal if minimizing else np.greater_equal
+    widen = _EDGE_GUARD if minimizing else -_EDGE_GUARD  # toward worse S
     pick = np.argmin if minimizing else np.argmax
     worst = math.inf if minimizing else -math.inf
 
@@ -317,8 +240,8 @@ def numeric_extremal_search(
         np.logical_and(keep, test, out=keep)
         np.less_equal(cos_diff, lower + _COS_GUARD, out=test)
         np.logical_or(band, test, out=band)
-        # S no worse than the bound, decided on P: S rises with P.
-        p_inside(p, _p_edge(s_coef, s_const, bound, minimizing), out=test)
+        # S perhaps no worse than the bound, on P: S rises with P.
+        no_worse(p, (bound - s_const) / s_coef - 1.0 + widen, out=test)
         np.logical_and(keep, test, out=keep)
         np.logical_and(band, keep, out=band)
         if band.any():
@@ -332,6 +255,8 @@ def numeric_extremal_search(
         # flat order, so pick's first extreme is the lowest-index one.
         s = (p.ravel()[cells] + 1.0) * s_coef + s_const
         k = int(pick(s))
+        if not no_worse(s[k], bound):  # the exact test: every kept S is worse
+            return None
         i, j = divmod(int(cells[k]), grid_n)
         return float(s[k]), float(ax1[i]), float(ax2[j])
 

@@ -451,6 +451,9 @@ class TestVerify:
             ("_overlap_angles", 1e-6, "f-range-and-overlap-roundtrip"),
             ("_expectation_rows", 1.0, "spectral-containment"),
             ("s_of_overlap", -1.0, "smin-dominance"),
+            # NaN from a route fails its fixed check too.
+            ("s_function", math.nan, "extremal-tightness"),
+            ("concurrence_of_overlap", math.nan, "concurrence-roundtrip"),
         ],
     )
     def test_broken_route_fails_its_check(self, route, delta, check, monkeypatch,

@@ -258,10 +258,12 @@ class TestCosGuard:
     @pytest.mark.parametrize("objective", ["minimize", "maximize"])
     def test_guard_width_does_not_change_the_result(self, monkeypatch, guard, objective):
         # inf: np.cos decides every cell; 0.0: the product form decides
-        # every cell off the bounds themselves.
+        # every cell off the bounds themselves.  An infinite _EDGE_GUARD
+        # tests the exact S of every feasible cell.
         cs = _C_GRID + EDGE_C + BAND_C
         expected = [numeric_extremal_search(c, objective) for c in cs]
         monkeypatch.setattr(extremal, "_COS_GUARD", guard)
+        monkeypatch.setattr(extremal, "_EDGE_GUARD", math.inf)
         assert [numeric_extremal_search(c, objective) for c in cs] == expected
 
     def test_product_form_error_is_far_inside_the_guard(self):
@@ -295,7 +297,12 @@ def s_of_p(p, coef, const):
     return (p + 1.0) * coef + const
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
+def search_coef(c):
+    """The search's coefficient of P + 1.0 in S at concurrence c."""
+    return 4.0 * (3.0 * SQRT5 - 5.0) / (f_from_concurrence(c) + 3.0)
+
+
+S_CONST = 5.0 - 4.0 * SQRT5
 # Where the bound's P lies: anywhere in [-1, 1], near 0, or past either end.
 EDGE_P = st.one_of(
     st.floats(-1.0, 1.0),
@@ -306,49 +313,59 @@ EDGE_P = st.one_of(
 
 @st.composite
 def edge_inputs(draw):
-    """(coef, const, bound, minimizing), the bound S of an EDGE_P moved by
-    up to three floats."""
-    coef = draw(st.floats(min_value=5e-324, max_value=1e300))
-    const = draw(FINITE)
-    bound = s_of_p(draw(EDGE_P), coef, const)
+    """(coef, const, bound, minimizing): the search's coefficients at some c,
+    and the bound S of an EDGE_P moved by up to three floats."""
+    coef = search_coef(draw(st.floats(0.0, 1.0)))
+    bound = s_of_p(draw(EDGE_P), coef, S_CONST)
     for _ in range(draw(st.integers(0, 3))):
         bound = math.nextafter(bound, draw(st.sampled_from([-math.inf, math.inf])))
-    if not math.isfinite(bound):
-        bound = draw(FINITE)
-    return coef, const, bound, draw(st.booleans())
+    return coef, S_CONST, bound, draw(st.booleans())
 
 
 class TestPEdge:
-    """The P edge that decides "S no worse than the bound" in a search stage."""
+    """The P edge that decides "S no worse than the bound" in a search stage:
+    the plain inverse of S, widened by ``_EDGE_GUARD`` toward worse S."""
 
-    # The search's coefficients at c = 1/sqrt(5).
-    COEF = 4.0 * (3.0 * SQRT5 - 5.0) / (f_from_concurrence(1.0 / SQRT5) + 3.0)
-    CONST = 5.0 - 4.0 * SQRT5
+    COEF = search_coef(1.0 / SQRT5)
+    CONST = S_CONST
 
     @staticmethod
-    def check(coef, const, bound, minimizing):
-        edge = extremal._p_edge(coef, const, bound, minimizing)
+    def kept(ps, coef, const, bound, minimizing):
+        """The P a stage may pick from: those passing the cheap test on P,
+        as the stage makes it, whose S is no worse than the bound."""
+        widen = extremal._EDGE_GUARD if minimizing else -extremal._EDGE_GUARD
+        edge = (bound - const) / coef - 1.0 + widen
+        s = s_of_p(ps, coef, const)
+        if minimizing:
+            return (ps <= edge) & (s <= bound), s <= bound
+        return (ps >= edge) & (s >= bound), s >= bound
+
+    @classmethod
+    def check(cls, coef, const, bound, minimizing):
         no_worse = (lambda s: s <= bound) if minimizing else (lambda s: s >= bound)
-        past = math.inf if minimizing else -math.inf  # S gets worse this way
-        if -1.0 <= edge <= 1.0:
-            assert no_worse(s_of_p(edge, coef, const))
-            after = math.nextafter(edge, past)
-            if -1.0 <= after <= 1.0:
-                assert not no_worse(s_of_p(after, coef, const))
-            else:
-                assert edge == (1.0 if minimizing else -1.0)
-        else:
-            # No P in [-1, 1] is no worse: not even the best end.
-            assert edge == -past
-            assert not no_worse(s_of_p(-1.0 if minimizing else 1.0, coef, const))
-        # The comparison a stage makes equals the test on S it replaces.
-        ps = np.array([-1.0, -0.5, 0.0, 1e-300, 1e-17, -1e-17, 0.5, 1.0, edge,
-                       math.nextafter(edge, -1.0), math.nextafter(edge, 1.0)])
+        d = 1.0 if minimizing else -1.0  # S gets worse as d * P grows
+        margin = extremal._EDGE_GUARD / 100
+        inverse = (bound - const) / coef - 1.0
+        # S is monotone in P, so every P in [-1, 1] from worse_p on is worse
+        # and every P up to better_p is no worse: the last P no worse lies
+        # within margin of the inverse, far inside the guard.
+        worse_p, better_p = inverse + d * margin, inverse - d * margin
+        if d * worse_p <= 1.0:
+            assert not no_worse(s_of_p(min(1.0, max(-1.0, worse_p)), coef, const))
+        if d * better_p >= -1.0:
+            assert no_worse(s_of_p(min(1.0, max(-1.0, better_p)), coef, const))
+        # The cheap test keeps every P whose S is no worse, so with the exact
+        # test on S a stage keeps just those.
+        ps = [-1.0, -0.5, 0.0, 1e-300, 1e-17, -1e-17, 0.5, 1.0]
+        ps += [inverse + k * margin for k in (-200, -2, -1, 1, 2, 200)]
+        p = inverse
+        for direction in (-math.inf, math.inf):
+            for _ in range(3):
+                p = math.nextafter(p, direction)
+                ps.append(p)
         ps = np.clip(np.concatenate([ps, np.linspace(-1.0, 1.0, 41)]), -1.0, 1.0)
-        with np.errstate(over="ignore"):  # as Python floats, S may reach inf
-            s = (ps + 1.0) * coef + const
-        inside = ps <= edge if minimizing else ps >= edge
-        assert np.array_equal(inside, s <= bound if minimizing else s >= bound)
+        kept, exact = cls.kept(ps, coef, const, bound, minimizing)
+        assert np.array_equal(kept, exact)
 
     @settings(max_examples=500, deadline=None)
     @given(edge_inputs())
@@ -374,29 +391,43 @@ class TestPEdge:
     def test_bounds_beyond_every_s(self, minimizing):
         low = math.nextafter(s_of_p(-1.0, self.COEF, self.CONST), -math.inf)
         high = math.nextafter(s_of_p(1.0, self.COEF, self.CONST), math.inf)
-        for bound in (low, high, -1e300, 1e300):
+        # +/-inf: the first stage's bound, before any best.
+        for bound in (low, high, -1e300, 1e300, -math.inf, math.inf):
             self.check(self.COEF, self.CONST, bound, minimizing)
-        # Below every S, nothing is no worse when minimizing and all is when
+        # Below every S, a stage keeps no P when minimizing and every P when
         # maximizing; above every S the other way round.
-        assert extremal._p_edge(self.COEF, self.CONST, low, minimizing) == (
-            -math.inf if minimizing else -1.0
-        )
-        assert extremal._p_edge(self.COEF, self.CONST, high, minimizing) == (
-            1.0 if minimizing else math.inf
-        )
+        ps = np.linspace(-1.0, 1.0, 41)
+        below, _ = self.kept(ps, self.COEF, self.CONST, low, minimizing)
+        above, _ = self.kept(ps, self.COEF, self.CONST, high, minimizing)
+        assert not below.any() if minimizing else below.all()
+        assert above.all() if minimizing else not above.any()
 
-    @pytest.mark.parametrize("minimizing", [True, False])
-    def test_flat_s_falls_back_to_bisection(self, monkeypatch, minimizing):
-        # A coefficient so small that S moves a few times over [-1, 1]: the
-        # estimate lands far from the edge in plateaus, so the search bisects.
-        bisected = []
-        from_ordinal = extremal._from_ordinal
-        monkeypatch.setattr(extremal, "_from_ordinal",
-                            lambda k: bisected.append(k) or from_ordinal(k))
-        coef, const = 3e-16, 1.0
-        for p in (-0.9, -0.3, 0.2, 0.7):
-            self.check(coef, const, s_of_p(p, coef, const), minimizing)
-        assert bisected
+    def test_edge_error_is_far_inside_the_guard(self):
+        # Bounds at the S of P near -1, 0, 1 and seeded P, each moved by up to
+        # three floats, on the search's coefficients at seeded c.
+        margin = extremal._EDGE_GUARD / 100
+        ps = np.concatenate([
+            [-1.0, math.nextafter(-1.0, 0.0), -0.5, -(2.0 ** -54), -1e-17, -1e-300, 0.0,
+             1e-300, 1e-17, 2.0 ** -53, 0.5, math.nextafter(1.0, 0.0), 1.0],
+            np.random.default_rng(11).uniform(-1.0, 1.0, 200),
+        ])
+        for c in _C_GRID + EDGE_C + SEEDED_C:
+            s_coef = search_coef(c)
+            bound = s_of_p(ps, s_coef, S_CONST)
+            bounds = [bound]
+            for direction in (-np.inf, np.inf):
+                nudged = bound
+                for _ in range(3):
+                    nudged = np.nextafter(nudged, direction)
+                    bounds.append(nudged)
+            for bound in bounds:
+                edge = (bound - S_CONST) / s_coef - 1.0
+                # S rises with P, so every P with S <= bound (minimizing) lies
+                # below edge + margin once S there is above the bound, and
+                # every P with S >= bound (maximizing) above edge - margin.
+                above, below = edge + margin, edge - margin
+                assert np.all((above > 1.0) | (s_of_p(above, s_coef, S_CONST) > bound)), c
+                assert np.all((below < -1.0) | (s_of_p(below, s_coef, S_CONST) < bound)), c
 
 
 class TestDominance:
