@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import REGIME_EDGES, Regime
+from .classify import Regime, _regime_codes
 from .extremal import (
     chsh_max,
     concurrence_threshold,
@@ -135,7 +135,7 @@ def _chunk_errors(thetas: np.ndarray, phis: np.ndarray) -> tuple[dict, int]:
     # The closed forms only: the matrix expectation's range is spectral-containment's.
     closed = np.stack((s, s_of_parts(x, y), s_of_concurrence(c, y)))
     lowest, highest = closed.min(axis=0), closed.max(axis=0)
-    contextual = np.digitize(s, REGIME_EDGES) == _CONTEXTUAL
+    contextual = _regime_codes(s) == _CONTEXTUAL
     errors = {
         "qutrit-normalization": np.abs(_vdot_rows(v, v).real - 1.0),
         "star-swap-symmetry": np.abs(v - swapped),
@@ -207,12 +207,12 @@ def _check_classical_bound() -> dict[str, float]:
     }
 
 
-def _check_extremal_oracle(grid_n: int, refine_iters: int) -> dict[str, float]:
+def _check_extremal_oracle() -> dict[str, float]:
     min_errors, max_errors = [], []
     for c in _C_GRID:
-        found_min = numeric_extremal_search(c, "minimize", grid_n, refine_iters)
+        found_min = numeric_extremal_search(c, "minimize")
         min_errors.append(abs(found_min.s_star - s_min_for_concurrence(c)))
-        found_max = numeric_extremal_search(c, "maximize", grid_n, refine_iters)
+        found_max = numeric_extremal_search(c, "maximize")
         max_errors.append(abs(found_max.s_star - SPECTRUM_MAX))
     return {"smin-numeric-oracle": np.max(min_errors), "smax-constancy": np.max(max_errors)}
 
@@ -265,12 +265,7 @@ def _check_chsh() -> dict[str, float]:
     }
 
 
-def run_all_checks(
-    samples: int = 1000,
-    seed: int = DEFAULT_SEED,
-    grid_n: int = 128,
-    refine_iters: int = 8,
-) -> list[CheckResult]:
+def run_all_checks(samples: int = 1000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run every verification check on ``samples`` seeded random states."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1: got {samples}")
@@ -281,7 +276,7 @@ def run_all_checks(
         **_check_concurrence_roundtrip(),
         **_check_operator_construction(),
         **_check_classical_bound(),
-        **_check_extremal_oracle(grid_n, refine_iters),
+        **_check_extremal_oracle(),
         **_check_extremal_tightness(),
         **_check_threshold(),
         **_check_chsh(),

@@ -1,15 +1,20 @@
-"""Three-regime taxonomy of states by their five-cycle expectation value."""
+"""Three-regime taxonomy of states by their five-cycle expectation value.
+
+``_regime_codes`` is the one regime cut, for ``classify_s``, the kernel
+``_evaluate`` (behind ``classify_state`` and the scan) and ``verify``.
+"""
 
 from __future__ import annotations
 
-import bisect
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .extremal import LOCAL_BOUND
-from .measures import concurrence_msr, s_closed_form
+from .measures import concurrence_of_overlap, s_of_overlap
 from .observables import CLASSICAL_BOUND, SPECTRUM_MAX, SPECTRUM_MIN
-from .states import MsrPair
+from .states import MsrPair, _one_row, _overlap_parts
 
 __all__ = ["Regime", "StateReport", "classify_s", "classify_state"]
 
@@ -32,8 +37,21 @@ class Regime(enum.Enum):
     LOCAL = "Local"
 
 
-# The bands in increasing S, indexed by the number of edges at or below S.
-_BANDS = tuple(Regime)
+# Regime labels indexed by the code of ``_regime_codes``, in the order of ``Regime``.
+_LABELS = np.array([r.value for r in Regime], dtype=object)
+
+
+def _regime_codes(s):
+    """Regime code of each S value: the number of ``REGIME_EDGES`` at or
+    below it, so 0 for S < -3, 1 for -3 <= S < -sqrt(5) and 2 otherwise."""
+    return np.digitize(s, REGIME_EDGES)
+
+
+def _evaluate(theta1, theta2, delta_phi):
+    """S, concurrence and regime code on broadcast angle arrays."""
+    _, y, f = _overlap_parts(theta1, theta2, delta_phi)
+    s = s_of_overlap(f, y)
+    return s, concurrence_of_overlap(f), _regime_codes(s)
 
 
 def classify_s(s: float) -> Regime:
@@ -46,7 +64,7 @@ def classify_s(s: float) -> Regime:
         raise ValueError(
             f"s out of the spectral range [{SPECTRUM_MIN}, {SPECTRUM_MAX}]: got {s}"
         )
-    return _BANDS[bisect.bisect_right(REGIME_EDGES, s)]
+    return Regime(_LABELS[_regime_codes(s)])
 
 
 @dataclass(frozen=True)
@@ -63,10 +81,11 @@ class StateReport:
 
 def classify_state(pair: MsrPair) -> StateReport:
     """Full report (S, concurrence, regime) for a star pair."""
-    s = s_closed_form(pair)
+    s, c, _ = _evaluate(*_one_row(pair.star1.theta, pair.star2.theta, pair.delta_phi))
+    s = s.item()
     return StateReport(
         s=s,
-        c=concurrence_msr(pair),
+        c=c.item(),
         regime=classify_s(s),
         theta1=pair.star1.theta,
         theta2=pair.star2.theta,

@@ -26,7 +26,7 @@ from .extremal import (
     s_max_for_concurrence,
     s_min_for_concurrence,
 )
-from .scan import ScanConfig, write_scan
+from .scan import OUTPUT_FORMATS, ScanConfig, write_scan
 from .states import DEFAULT_SEED, MsrPair, msr_to_qutrit
 
 __all__ = ["main"]
@@ -184,7 +184,7 @@ def _build_parser() -> _Parser:
 
     p_scan = sub.add_parser("scan", help="emit S/concurrence/regime over a (theta1, theta2, delta_phi) grid")
     p_scan.add_argument("--resolution", type=int, required=True, help="cells per axis (>= 2)")
-    p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_scan.add_argument("--format", choices=OUTPUT_FORMATS, default="csv")
     p_scan.add_argument("--output", required=True, help="output file path")
     p_scan.set_defaults(handler=_cmd_scan)
 

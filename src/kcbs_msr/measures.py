@@ -216,13 +216,13 @@ def delta_phi_for_constant_c(theta1: float, theta2: float, c: float) -> float:
     InfeasiblePhaseError
         If no phase realizes ``c`` at these polar angles, or an angle is NaN.
     """
-    _validate_concurrence(c)
+    f_t = f_from_concurrence(c)
     p = math.sin(theta1) * math.sin(theta2)
     if abs(p) < 1e-12:
         raise DegenerateAnglesError(
             "sin(theta1) sin(theta2) vanishes; delta_phi is unconstrained"
         )
-    value = (f_from_concurrence(c) - math.cos(theta1) * math.cos(theta2)) / p
+    value = (f_t - math.cos(theta1) * math.cos(theta2)) / p
     if not abs(value) <= 1.0 + 1e-12:
         raise InfeasiblePhaseError(
             f"no delta_phi realizes concurrence {c} at these angles: "

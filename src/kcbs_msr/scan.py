@@ -5,7 +5,8 @@ cell centers: theta axes over (0, pi), delta_phi over [0, 2*pi).  Cell
 centers keep delta_phi meaningful (at theta = 0 or pi it is pure gauge);
 the exact extremes live on the closed boundary and are the business of the
 extremal module, not the scan.  Only the phase difference is stored since
-S and C depend on the azimuths through it alone.
+S and C depend on the azimuths through it alone.  The cells go through
+``classify._evaluate``, the kernel behind ``classify_state``.
 
 Output is CSV (header ``theta1,theta2,delta_phi,s,c,regime``) or JSON (an
 array of objects with the same keys), UTF-8 with LF newlines, values at 12
@@ -59,16 +60,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import REGIME_EDGES, Regime
-from .measures import concurrence_of_overlap, s_of_overlap
-from .states import _overlap_parts
+from .classify import _LABELS, _evaluate
 
 __all__ = [
     "ScanConfig",
     "ScanRecord",
     "ScanSummary",
     "compute_scan",
-    "regime_counts",
     "render_csv",
     "render_json",
     "write_scan",
@@ -77,9 +75,6 @@ __all__ = [
 CSV_HEADER = "theta1,theta2,delta_phi,s,c,regime"
 
 OUTPUT_FORMATS = ("csv", "json")
-
-# Regime labels indexed by the code of ``_evaluate``, in the order of ``Regime``.
-_LABELS = np.array([r.value for r in Regime], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -134,17 +129,6 @@ def dphi_centers(resolution: int) -> np.ndarray:
     return (np.arange(resolution) + 0.5) * 2.0 * math.pi / resolution
 
 
-def _evaluate(theta1, theta2, delta_phi):
-    """S, concurrence and regime code on broadcast angle arrays.
-
-    The code indexes ``_LABELS``: 0 for S < -3, 1 for -3 <= S < -sqrt(5)
-    and 2 otherwise, the half-open bands of ``classify_s``.
-    """
-    _, y, f = _overlap_parts(theta1, theta2, delta_phi)
-    s = s_of_overlap(f, y)
-    return s, concurrence_of_overlap(f), np.digitize(s, REGIME_EDGES)
-
-
 def compute_scan(resolution: int) -> list[ScanRecord]:
     """Evaluate the grid in row-major order (theta1 outer, delta_phi inner)."""
     th = theta_centers(resolution)
@@ -152,14 +136,6 @@ def compute_scan(resolution: int) -> list[ScanRecord]:
     s, c, code = _evaluate(t1, t2, dphi)
     columns = (t1, t2, dphi, s, c, _LABELS[code])
     return [ScanRecord(*row) for row in zip(*(col.ravel().tolist() for col in columns))]
-
-
-def regime_counts(records: list[ScanRecord]) -> dict[str, int]:
-    """Records per regime label, keyed by label, all three labels present."""
-    counts = {regime.value: 0 for regime in Regime}
-    for record in records:
-        counts[record.regime] += 1
-    return counts
 
 
 def _fmt(value: float) -> str:

@@ -10,11 +10,14 @@ from kcbs_msr import (
     Regime,
     classify_s,
     classify_state,
+    concurrence_msr,
     concurrence_threshold,
+    s_closed_form,
     sample_pairs,
 )
 from kcbs_msr.classify import REGIME_EDGES
 from kcbs_msr.scan import _LABELS
+from test_batched import EDGE_ANGLES
 
 SQRT5 = math.sqrt(5.0)
 
@@ -89,3 +92,13 @@ class TestClassifyState:
     def test_partition_is_exhaustive(self):
         for pair in sample_pairs(1000):
             assert classify_state(pair).regime in Regime
+
+    def test_report_equals_the_scalar_forms_bit_for_bit(self):
+        # classify_state evaluates the kernel once; its S and C are the very
+        # floats of the scalar closed forms, and its regime classify_s's.
+        rows = sample_pairs(2000) + [MsrPair.from_angles(*a) for a in EDGE_ANGLES]
+        for pair in rows + [MsrPair(p.star2, p.star1) for p in rows]:
+            report = classify_state(pair)
+            assert report.s == s_closed_form(pair), pair
+            assert report.c == concurrence_msr(pair), pair
+            assert report.regime is classify_s(report.s), pair

@@ -224,6 +224,13 @@ class TestDeltaPhiForConstantC:
         with pytest.raises(DegenerateAnglesError):
             delta_phi_for_constant_c(0.0, math.pi / 2.0, 0.5)
 
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_invalid_concurrence_wins_over_degenerate_angles(self, bad):
+        # The concurrence is checked before the angles.
+        with pytest.raises(ValueError, match="concurrence out of") as info:
+            delta_phi_for_constant_c(0.0, math.pi / 2.0, bad)
+        assert not isinstance(info.value, DegenerateAnglesError)
+
     @pytest.mark.parametrize("t1, t2", [(math.nan, 0.5), (0.5, math.nan)])
     def test_nan_angle_rejected(self, t1, t2):
         with pytest.raises(InfeasiblePhaseError):

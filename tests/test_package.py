@@ -74,7 +74,6 @@ PUBLIC_API = {
         "ScanRecord",
         "ScanSummary",
         "compute_scan",
-        "regime_counts",
         "render_csv",
         "render_json",
         "write_scan",
@@ -86,7 +85,7 @@ PUBLIC_API = {
 class TestPublicApi:
     def test_package_exports_exactly_the_api(self):
         expected = {name for names in PUBLIC_API.values() for name in names}
-        assert len(expected) == 66
+        assert len(expected) == 65
         assert len(kcbs_msr.__all__) == len(set(kcbs_msr.__all__))
         assert set(kcbs_msr.__all__) == expected
 

@@ -25,7 +25,6 @@ from kcbs_msr import (
     ScanRecord,
     classify_s,
     compute_scan,
-    regime_counts,
     render_csv,
     render_json,
     s_function,
@@ -53,6 +52,15 @@ EDGE_VALUES = [
     -3.0, 0.0, -0.0, 1.0, 2.0, 5e-324, -5e-324, 1e-310, 1e-05, 1.5e-07,
     1e12, 123456789012345.0, 1e16, -1e16, 99999.99999999, 3.0000000000001,
 ]
+
+
+def regime_counts(records):
+    """Records per regime label, keyed by label, all three labels present:
+    the reference counter that ``write_scan``'s counts must equal."""
+    counts = {regime.value: 0 for regime in Regime}
+    for record in records:
+        counts[record.regime] += 1
+    return counts
 
 
 def _vm_rss_kib():
