@@ -34,8 +34,6 @@ __all__ = [
     "LOCAL_BOUND",
     "chsh_max",
     "concurrence_threshold",
-    "extremal_theta_max",
-    "extremal_theta_min",
     "extremal_witnesses",
     "numeric_extremal_search",
     "s_max_for_concurrence",
@@ -84,45 +82,27 @@ def s_max_for_concurrence(c: float) -> float:
     return SPECTRUM_MAX
 
 
-def extremal_theta_min(c: float) -> tuple[float, float]:
-    """Stationary theta2 values attaining S_min(c).
-
-    Both roots (pi +/- arccos((1 - 3c)/(1 + c)))/2; the companion theta1 is
-    pi - theta2 (see :func:`extremal_witnesses`).
-    """
-    a = math.acos(f_from_concurrence(c))
-    return ((math.pi + a) / 2.0, (math.pi - a) / 2.0)
-
-
-def extremal_theta_max(c: float) -> float:
-    """Stationary theta2 attaining the constant maximum.
-
-    The root arccos((1 - 3c)/(1 + c))/2 in [0, pi/2]; the companion theta1
-    equals it (see :func:`extremal_witnesses`).  The negative root of the
-    stationarity relation is no polar angle: a star at -theta2 is the star
-    at theta2 with its azimuth turned by pi, so it adds no state.
-    """
-    return math.acos(f_from_concurrence(c)) / 2.0
-
-
 def extremal_witnesses(
     c: float, objective: Objective = "minimize"
 ) -> list[tuple[float, float, float]]:
     """Angle triples (theta1, theta2, delta_phi) attaining the extremum at ``c``.
 
-    Each theta2 root is paired with the companion theta1 of the
-    stationarity relation it solves (theta1 + theta2 = pi for the minimum,
-    theta1 = theta2 for the maximum); both delta_phi in {0, pi} are tried
-    and triples that do not reproduce the concurrence are dropped.  theta1
-    and theta2 lie in [0, pi].
+    With a = arccos((1 - 3c)/(1 + c)), the minimum's stationary theta2 are
+    (pi +/- a)/2, each with theta1 = pi - theta2, and the maximum's is a/2
+    in [0, pi/2], with theta1 = theta2.  The negative root -a/2 of the
+    maximum's stationarity relation is no polar angle: a star at -theta2 is
+    the star at theta2 with its azimuth turned by pi, so it adds no state.
+    Both delta_phi in {0, pi} are tried and triples that do not reproduce
+    the concurrence are dropped.  theta1 and theta2 lie in [0, pi].
     """
     _validate_objective(objective)
     f_t = f_from_concurrence(c)
+    a = math.acos(f_t)
     if objective == "minimize":
-        candidates = [(math.pi - r, r) for r in extremal_theta_min(c)]
+        roots = ((math.pi + a) / 2.0, (math.pi - a) / 2.0)
+        candidates = [(math.pi - r, r) for r in roots]
     else:
-        r = extremal_theta_max(c)
-        candidates = [(r, r)]
+        candidates = [(a / 2.0, a / 2.0)]
     witnesses = []
     for t1, t2 in candidates:
         for dphi in (0.0, math.pi):

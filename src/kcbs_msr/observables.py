@@ -26,33 +26,26 @@ import numpy as np
 __all__ = [
     "CLASSICAL_BOUND",
     "IncompatibleFrameError",
-    "KCBS_DIAG_MIDDLE",
-    "KCBS_DIAG_OUTER",
     "PentagramFrame",
     "SPECTRUM_MAX",
     "SPECTRUM_MIN",
     "SPIN1_X",
     "SPIN1_Y",
     "SPIN1_Z",
-    "a_observable",
     "assignment_values",
-    "classical_bound",
     "kcbs_operator_diagonal",
     "kcbs_operator_from_frame",
     "pentagram_vectors",
-    "spin1_along",
 ]
 
 SQRT5 = math.sqrt(5.0)
 
 # Diagonal entries of the five-cycle operator in the fixed basis; they are
 # also its eigenvalues, so they bound every expectation value.
-KCBS_DIAG_OUTER = 2.0 * SQRT5 - 5.0
-KCBS_DIAG_MIDDLE = 5.0 - 4.0 * SQRT5
-SPECTRUM_MIN = KCBS_DIAG_MIDDLE
-SPECTRUM_MAX = KCBS_DIAG_OUTER
+SPECTRUM_MAX = 2.0 * SQRT5 - 5.0
+SPECTRUM_MIN = 5.0 - 4.0 * SQRT5
 
-# Non-contextuality bound of the five-cycle sum (see classical_bound()).
+# Non-contextuality bound of the five-cycle sum: the least of assignment_values().
 CLASSICAL_BOUND = -3
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -118,30 +111,13 @@ def pentagram_vectors() -> PentagramFrame:
     return PentagramFrame(vecs)
 
 
-def _unit_direction(direction) -> np.ndarray:
-    d = np.asarray(direction, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(d))
-    if not abs(norm - 1.0) <= 1e-9:
-        raise ValueError(f"direction must be a unit 3-vector: |d| = {norm}")
-    return d
-
-
-def spin1_along(direction) -> np.ndarray:
-    """Spin-1 component operator n . S along a unit direction.
-
-    Eigenvalues are always {+1, 0, -1}.
-    """
-    d = _unit_direction(direction)
-    return d[0] * SPIN1_X + d[1] * SPIN1_Y + d[2] * SPIN1_Z
-
-
-def a_observable(direction) -> np.ndarray:
-    """Dichotomic observable A = 2 (n . S)^2 - I along a unit direction.
+def _a_observable(d) -> np.ndarray:
+    """Dichotomic observable A = 2 (d . S)^2 - I along a unit direction d.
 
     Eigenvalues {+1, +1, -1}; equivalently I - 2 P0 with P0 the projector
-    onto the spin-0 eigenstate of n . S.
+    onto the spin-0 eigenstate of d . S.
     """
-    s = spin1_along(direction)
+    s = d[0] * SPIN1_X + d[1] * SPIN1_Y + d[2] * SPIN1_Z
     return 2.0 * (s @ s) - np.eye(3)
 
 
@@ -149,19 +125,19 @@ def kcbs_operator_from_frame(frame) -> np.ndarray:
     """Cyclic five-term operator sum_j A(v_j) A(v_{j+1}) for a frame.
 
     Accepts a :class:`PentagramFrame` or a raw (5, 3) array of unit rows,
-    which is validated as one.  Consecutive orthogonality is what makes each
-    product Hermitian.
+    which is validated as one, so each row is a unit vector to within
+    ``_FRAME_TOL``.  Consecutive orthogonality is what makes each product
+    Hermitian.
     """
     if not isinstance(frame, PentagramFrame):
         frame = PentagramFrame(frame)
-    vecs = frame.vectors
-    ops = [a_observable(vecs[j]) for j in range(5)]
+    ops = [_a_observable(d) for d in frame.vectors]
     return sum(ops[j] @ ops[(j + 1) % 5] for j in range(5))
 
 
 def kcbs_operator_diagonal() -> np.ndarray:
     """The five-cycle operator in its diagonal closed form."""
-    return np.diag([KCBS_DIAG_OUTER, KCBS_DIAG_MIDDLE, KCBS_DIAG_OUTER])
+    return np.diag([SPECTRUM_MAX, SPECTRUM_MIN, SPECTRUM_MAX])
 
 
 def assignment_values() -> np.ndarray:
@@ -172,8 +148,3 @@ def assignment_values() -> np.ndarray:
         for x in itertools.product((-1, 1), repeat=5)
     ]
     return np.array(values, dtype=int)
-
-
-def classical_bound() -> int:
-    """Minimum of the cyclic sum over all deterministic assignments (-3)."""
-    return int(assignment_values().min())

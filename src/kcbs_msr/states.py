@@ -41,7 +41,6 @@ __all__ = [
     "f_function",
     "f_value",
     "msr_to_qutrit",
-    "norm_squared",
     "overlap_angle",
     "qubit_ket",
     "sample_pairs",
@@ -144,14 +143,6 @@ def f_function(theta1: float, theta2: float, delta_phi: float) -> float:
 def f_value(pair: MsrPair) -> float:
     """Star-overlap function f of a star pair; 1 for coincident stars, -1 for antipodal."""
     return f_function(pair.star1.theta, pair.star2.theta, pair.delta_phi)
-
-
-def norm_squared(pair: MsrPair) -> float:
-    """Squared normalization constant N^2 = (f + 3)/4 of the qutrit amplitudes.
-
-    Always in [1/2, 1].
-    """
-    return _norm_squared(f_value(pair))
 
 
 def msr_to_qutrit(pair: MsrPair) -> Qutrit:

@@ -11,8 +11,6 @@ from kcbs_msr import (
     concurrence_msr,
     chsh_max,
     concurrence_threshold,
-    extremal_theta_max,
-    extremal_theta_min,
     extremal_witnesses,
     numeric_extremal_search,
     s_closed_form,
@@ -32,6 +30,7 @@ from kcbs_msr.extremal import (
 from kcbs_msr.measures import _validate_concurrence, f_from_concurrence
 
 SQRT5 = math.sqrt(5.0)
+PI = math.pi
 C_GRID = [k / 10.0 for k in range(11)]
 
 
@@ -66,29 +65,27 @@ class TestClosedForms:
 
 
 class TestThetaSets:
-    def test_min_set_maximal_entanglement(self):
-        roots = extremal_theta_min(1.0)
-        assert roots[0] == pytest.approx(math.pi, abs=1e-12)
-        assert roots[1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_min_set_separable(self):
-        roots = extremal_theta_min(0.0)
-        assert roots[0] == pytest.approx(math.pi / 2.0, abs=1e-12)
-        assert roots[1] == pytest.approx(math.pi / 2.0, abs=1e-12)
-
-    def test_min_set_one_third(self):
-        roots = extremal_theta_min(1.0 / 3.0)
-        assert roots[0] == pytest.approx(3.0 * math.pi / 4.0, abs=1e-12)
-        assert roots[1] == pytest.approx(math.pi / 4.0, abs=1e-12)
-
-    def test_max_set_examples(self):
-        assert extremal_theta_max(0.0) == pytest.approx(0.0, abs=1e-12)
-        assert extremal_theta_max(1.0 / 3.0) == pytest.approx(
-            math.pi / 4.0, abs=1e-12
-        )
-        assert extremal_theta_max(1.0) == pytest.approx(
-            math.pi / 2.0, abs=1e-12
-        )
+    # The (theta1, theta2) of the stationary roots: (pi +/- a)/2 with
+    # theta1 = pi - theta2 for the minimum, a/2 twice for the maximum.
+    @pytest.mark.parametrize(
+        ("c", "objective", "expected"),
+        [
+            (1.0, "minimize", {(0.0, PI), (PI, 0.0)}),
+            (1.0, "maximize", {(PI / 2.0, PI / 2.0)}),
+            (0.0, "minimize", {(PI / 2.0, PI / 2.0)}),
+            (0.0, "maximize", {(0.0, 0.0)}),
+            (1.0 / 3.0, "minimize", {(PI / 4.0, 3.0 * PI / 4.0), (3.0 * PI / 4.0, PI / 4.0)}),
+            (1.0 / 3.0, "maximize", {(PI / 4.0, PI / 4.0)}),
+        ],
+        ids=["c1-min", "c1-max", "c0-min", "c0-max", "c1third-min", "c1third-max"],
+    )
+    def test_witness_theta_sets(self, c, objective, expected):
+        thetas = {(t1, t2) for t1, t2, _ in extremal_witnesses(c, objective)}
+        assert len(thetas) == len(expected)
+        for want in expected:
+            assert any(
+                got == pytest.approx(want, abs=1e-12) for got in thetas
+            ), (want, thetas)
 
     def test_witnesses_are_polar_angles(self):
         # eval and classify accept every printed witness.

@@ -1,5 +1,6 @@
 """Tests for the spin-1 observables, the pentagram frame and the five-cycle operator."""
 
+import hashlib
 import itertools
 import math
 
@@ -8,27 +9,33 @@ import pytest
 
 from kcbs_msr import (
     IncompatibleFrameError,
-    KCBS_DIAG_MIDDLE,
-    KCBS_DIAG_OUTER,
     PentagramFrame,
     SPECTRUM_MAX,
     SPECTRUM_MIN,
     SPIN1_X,
     SPIN1_Y,
     SPIN1_Z,
-    a_observable,
     assignment_values,
-    classical_bound,
     expectation_value,
     kcbs_operator_diagonal,
     kcbs_operator_from_frame,
     msr_to_qutrit,
     pentagram_vectors,
     sample_pairs,
-    spin1_along,
 )
+from kcbs_msr.observables import _a_observable
 
 SQRT5 = math.sqrt(5.0)
+
+# Rotation about z by the frame's azimuthal step 4*pi/5.
+_STEP = 4.0 * math.pi / 5.0
+ROT_STEP = np.array(
+    [
+        [math.cos(_STEP), -math.sin(_STEP), 0.0],
+        [math.sin(_STEP), math.cos(_STEP), 0.0],
+        [0.0, 0.0, 1.0],
+    ]
+)
 
 
 class TestSpinGenerators:
@@ -47,44 +54,16 @@ class TestSpinGenerators:
                 np.sort(np.linalg.eigvalsh(s)), [-1.0, 0.0, 1.0], atol=1e-12
             )
 
-
-class TestSpinAlong:
-    def test_z_direction(self):
-        np.testing.assert_allclose(
-            spin1_along([0.0, 0.0, 1.0]), np.diag([1.0, 0.0, -1.0])
-        )
-
-    def test_x_direction_spectrum(self):
-        np.testing.assert_allclose(
-            np.sort(np.linalg.eigvalsh(spin1_along([1.0, 0.0, 0.0]))),
-            [-1.0, 0.0, 1.0],
-            atol=1e-12,
-        )
-
-    def test_casimir_over_orthonormal_triple(self):
-        # S^2 = s(s+1) I = 2I for spin 1, for any orthonormal triple.
-        rng = np.random.default_rng(3)
-        basis, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        total = sum(
-            spin1_along(basis[:, k]) @ spin1_along(basis[:, k]) for k in range(3)
-        )
-        np.testing.assert_allclose(total, 2.0 * np.eye(3), atol=1e-12)
-
-    def test_rejects_non_unit_direction(self):
-        with pytest.raises(ValueError, match="unit"):
-            spin1_along([1.0, 1.0, 0.0])
-
-    def test_rejects_nan_direction(self):
-        with pytest.raises(ValueError, match="unit"):
-            spin1_along([math.nan, 0.0, 0.0])
-        with pytest.raises(ValueError, match="unit"):
-            a_observable([0.0, 0.0, math.nan])
+    def test_casimir(self):
+        # S^2 = s(s+1) I = 2I for spin 1.
+        total = SPIN1_X @ SPIN1_X + SPIN1_Y @ SPIN1_Y + SPIN1_Z @ SPIN1_Z
+        np.testing.assert_allclose(total, 2.0 * np.eye(3), atol=1e-15)
 
 
 class TestAObservable:
     def test_z_direction(self):
         np.testing.assert_allclose(
-            a_observable([0.0, 0.0, 1.0]), np.diag([1.0, -1.0, 1.0])
+            _a_observable(np.array([0.0, 0.0, 1.0])), np.diag([1.0, -1.0, 1.0])
         )
 
     def test_trace_is_one(self):
@@ -92,14 +71,14 @@ class TestAObservable:
         for _ in range(20):
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
-            assert np.trace(a_observable(d)).real == pytest.approx(1.0, abs=1e-12)
+            assert np.trace(_a_observable(d)).real == pytest.approx(1.0, abs=1e-12)
 
     def test_squares_to_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
-            a = a_observable(d)
+            a = _a_observable(d)
             np.testing.assert_allclose(a @ a, np.eye(3), atol=1e-12)
 
 
@@ -123,15 +102,7 @@ class TestPentagramFrame:
 
     def test_rotation_permutes_cyclically(self):
         v = pentagram_vectors().vectors
-        step = 4.0 * math.pi / 5.0
-        rot = np.array(
-            [
-                [math.cos(step), -math.sin(step), 0.0],
-                [math.sin(step), math.cos(step), 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        np.testing.assert_allclose(v @ rot.T, np.roll(v, -1, axis=0), atol=1e-12)
+        np.testing.assert_allclose(v @ ROT_STEP.T, np.roll(v, -1, axis=0), atol=1e-12)
 
     def test_rejects_non_orthogonal(self):
         frame = np.array(
@@ -192,18 +163,25 @@ class TestKcbsOperator:
 
     def test_rotated_frame_gives_same_operator(self):
         frame = pentagram_vectors()
-        step = 4.0 * math.pi / 5.0
-        rot = np.array(
-            [
-                [math.cos(step), -math.sin(step), 0.0],
-                [math.sin(step), math.cos(step), 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        rebuilt = kcbs_operator_from_frame(frame.vectors @ rot.T)
+        rebuilt = kcbs_operator_from_frame(frame.vectors @ ROT_STEP.T)
         np.testing.assert_allclose(
             rebuilt, kcbs_operator_from_frame(frame), atol=1e-10
         )
+
+    def test_operator_bits_are_pinned(self):
+        # verify prints the construction's errors to four digits only; the
+        # SHA-256 of the bytes catches any change in rounding, such as
+        # summing the five products A(v_j) A(v_j+1) in another order.
+        frame = pentagram_vectors()
+        for vectors, digest in (
+            (frame, "7e3ef30323cc874792762eec680d84c6a60ff95d5c8a433917b9c504ee8f7aa3"),
+            (
+                frame.vectors @ ROT_STEP.T,
+                "019968cc7aaa2b2ccc971ea298d2f7f0f18eb68bff5bc11c981d0dd1615955f3",
+            ),
+        ):
+            built = kcbs_operator_from_frame(vectors)
+            assert hashlib.sha256(built.tobytes()).hexdigest() == digest
 
     def test_incompatible_frame_rejected(self):
         tilted = pentagram_vectors().vectors.copy()
@@ -229,15 +207,8 @@ class TestKcbsOperator:
             value = expectation_value(msr_to_qutrit(pair), op)
             assert SPECTRUM_MIN - 1e-12 <= value <= SPECTRUM_MAX + 1e-12
 
-    def test_diag_constants_exported(self):
-        assert KCBS_DIAG_MIDDLE == SPECTRUM_MIN
-        assert KCBS_DIAG_OUTER == SPECTRUM_MAX
-
 
 class TestClassicalBound:
-    def test_bound_is_minus_three(self):
-        assert classical_bound() == -3
-
     def test_enumeration_against_independent_oracle(self):
         values = [
             sum(x[j] * x[(j + 1) % 5] for j in range(5))

@@ -13,7 +13,6 @@ from kcbs_msr import (
     Qutrit,
     f_value,
     msr_to_qutrit,
-    norm_squared,
     overlap_angle,
     qubit_ket,
     sample_pairs,
@@ -154,11 +153,6 @@ class TestOverlapGeometry:
         f = f_value(pair)
         assert -1.0 <= f <= 1.0
         assert abs(math.cos(2.0 * overlap_angle(pair)) - f) <= 1e-12
-
-    @given(pairs_st)
-    def test_norm_squared_range(self, pair):
-        n2 = norm_squared(pair)
-        assert 0.5 - 1e-15 <= n2 <= 1.0 + 1e-15
 
 
 class TestSamplePairs:
