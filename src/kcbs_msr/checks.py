@@ -5,7 +5,9 @@ holds each check's name and tolerance in the order ``verify`` prints them.
 Each group of checks returns only its worst observed errors, keyed by check
 name, so a new check is one table row and one key in the group that computes
 it.  They fold errors with np.max, which keeps a NaN (Python's max(0.0, nan)
-is 0.0), so a route that returns NaN fails its check.  The groups pair
+is 0.0), so a route that returns NaN fails its check.  A group that raises
+or omits a name fails those checks: the exception goes to stderr and the
+other groups still run.  The groups pair
 routes that share no code: closed forms against the matrix expectation, the
 diagonal operator against the pentagram construction, the linear minimum
 law against a constrained grid search, and the threshold concurrence
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,10 +227,7 @@ def _check_extremal_tightness() -> dict[str, float]:
             ("minimize", s_min_for_concurrence(c)),
             ("maximize", SPECTRUM_MAX),
         ):
-            witnesses = extremal_witnesses(c, objective)
-            if not witnesses:
-                return {"extremal-tightness": math.inf}
-            for t1, t2, dphi in witnesses:
+            for t1, t2, dphi in extremal_witnesses(c, objective):
                 errors.append(abs(concurrence_function(t1, t2, dphi) - c))
                 errors.append(abs(s_function(t1, t2, dphi) - target))
     return {"extremal-tightness": np.max(errors)}
@@ -265,23 +265,34 @@ def _check_chsh() -> dict[str, float]:
     }
 
 
+# Every check group, in run order; only ``_check_samples`` takes the sampled angles.
+_GROUPS = (
+    _check_samples,
+    _check_concurrence_roundtrip,
+    _check_operator_construction,
+    _check_classical_bound,
+    _check_extremal_oracle,
+    _check_extremal_tightness,
+    _check_threshold,
+    _check_chsh,
+)
+
+
 def run_all_checks(samples: int = 1000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run every verification check on ``samples`` seeded random states."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1: got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative: got {seed}")
-    errors = {
-        **_check_samples(*_sample_angles(samples, seed)),
-        **_check_concurrence_roundtrip(),
-        **_check_operator_construction(),
-        **_check_classical_bound(),
-        **_check_extremal_oracle(),
-        **_check_extremal_tightness(),
-        **_check_threshold(),
-        **_check_chsh(),
-    }
+    angles = _sample_angles(samples, seed)
+    errors = {}
+    for group in _GROUPS:
+        try:
+            errors.update(group(*angles) if group is _check_samples else group())
+        except Exception as exc:
+            print(f"error: {group.__name__} raised {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
     return [
-        CheckResult(name, float(errors[name]), tolerance)
+        CheckResult(name, float(errors.get(name, math.inf)), tolerance)
         for name, tolerance in _TOLERANCES.items()
     ]

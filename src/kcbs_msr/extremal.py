@@ -27,7 +27,6 @@ import numpy as np
 
 from .measures import _validate_concurrence, f_from_concurrence
 from .observables import SPECTRUM_MAX, SQRT5
-from .states import f_function
 
 __all__ = [
     "ExtremalResult",
@@ -92,22 +91,20 @@ def extremal_witnesses(
     in [0, pi/2], with theta1 = theta2.  The negative root -a/2 of the
     maximum's stationarity relation is no polar angle: a star at -theta2 is
     the star at theta2 with its azimuth turned by pi, so it adds no state.
-    Both delta_phi in {0, pi} are tried and triples that do not reproduce
-    the concurrence are dropped.  theta1 and theta2 lie in [0, pi].
+    On these theta the gap to the extremum is zero at one delta_phi only:
+    0 for the minimum and pi for the maximum.  A star exactly at a pole
+    (theta in {0, pi}) has no azimuth, so there both delta_phi in {0, pi}
+    are witnesses.  theta1 and theta2 lie in [0, pi].
     """
     _validate_objective(objective)
-    f_t = f_from_concurrence(c)
-    a = math.acos(f_t)
+    a = math.acos(f_from_concurrence(c))
     if objective == "minimize":
         roots = ((math.pi + a) / 2.0, (math.pi - a) / 2.0)
-        candidates = [(math.pi - r, r) for r in roots]
+        candidates, gap_zero = [(math.pi - r, r) for r in roots], 0.0
     else:
-        candidates = [(a / 2.0, a / 2.0)]
-    witnesses = []
-    for t1, t2 in candidates:
-        for dphi in (0.0, math.pi):
-            if abs(f_function(t1, t2, dphi) - f_t) <= 1e-9:
-                witnesses.append((t1, t2, dphi))
+        candidates, gap_zero = [(a / 2.0, a / 2.0)], math.pi
+    witnesses = [(t1, t2, dphi) for t1, t2 in candidates for dphi in (0.0, math.pi)
+                 if dphi == gap_zero or {t1, t2} & {0.0, math.pi}]
     return list(dict.fromkeys(witnesses))
 
 

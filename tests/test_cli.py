@@ -454,6 +454,8 @@ class TestVerify:
             # NaN from a route fails its fixed check too.
             ("s_function", math.nan, "extremal-tightness"),
             ("concurrence_of_overlap", math.nan, "concurrence-roundtrip"),
+            # A route that raises fails its group's checks.
+            ("chsh_max", 1e-3, "chsh-endpoints"),
         ],
     )
     def test_broken_route_fails_its_check(self, route, delta, check, monkeypatch,
@@ -481,30 +483,32 @@ class TestVerify:
             rows[0] *= factor
             return original(rows)
 
+        sampled = set(checks._check_samples(*states._sample_angles(20, states.DEFAULT_SEED)))
         monkeypatch.setattr(states, "_unit_rows", broken)
         code, out, err = run_cli("verify", "--samples", "20", capsys=capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: qutrit amplitudes are not normalized: |psi|^2 = ")
+        # The sampled group raises, so its 10 checks fail and the fixed 13 pass.
+        assert code == 2
+        rows = dict(line.split()[::3] for line in out.splitlines()[:-1])
+        assert list(rows) == list(checks._TOLERANCES)
+        assert len(sampled) == 10
+        assert {name for name, status in rows.items() if status == "FAIL"} == sampled
+        assert err.startswith("error: _check_samples raised InvalidStateError: "
+                              "qutrit amplitudes are not normalized: |psi|^2 = ")
+        assert err.count("\n") == 1
 
-    def test_each_check_comes_from_exactly_one_group(self, monkeypatch):
+    def test_each_check_comes_from_exactly_one_group(self):
         # run_all_checks merges the groups' mappings: a name returned by two
         # groups would overwrite the first, and one not in the table would
         # never print.
-        returned = []
-
-        def spy(group):
-            def wrapped(*args):
-                errors = group(*args)
-                returned.append(list(errors))
-                return errors
-            return wrapped
-
-        groups = [name for name in vars(checks) if name.startswith("_check_")]
-        for name in groups:
-            monkeypatch.setattr(checks, name, spy(getattr(checks, name)))
-        checks.run_all_checks(samples=20)
-        assert len(returned) == len(groups)
+        angles = states._sample_angles(20, states.DEFAULT_SEED)
+        returned = [
+            group(*angles) if group is checks._check_samples else group()
+            for group in checks._GROUPS
+        ]
+        assert all(isinstance(errors, dict) for errors in returned)
+        assert set(checks._GROUPS) == {
+            group for name, group in vars(checks).items() if name.startswith("_check_")
+        }
         names = [name for group in returned for name in group]
         assert len(names) == len(set(names))
         assert set(names) == set(checks._TOLERANCES)
@@ -601,15 +605,18 @@ class TestEntryPoints:
         assert result.returncode == 1
 
 
-# A fresh interpreter that runs main once, with s_of_parts broken or intact.
+# A fresh interpreter that runs main once, with one route of checks broken
+# by the offset BROKEN gives it, or none.
+BROKEN = {"s_of_parts": 1e-9, "chsh_max": 1e-3}
 FRESH_MAIN = """\
 import sys
 from kcbs_msr import checks
 from kcbs_msr.cli import main
-if sys.argv[1] == "broken":
-    original = checks.s_of_parts
-    checks.s_of_parts = lambda *a: original(*a) + 1e-9
-sys.exit(main(sys.argv[2:]))
+route, delta = sys.argv[1], float(sys.argv[2])
+if route != "intact":
+    original = getattr(checks, route)
+    setattr(checks, route, lambda *a: original(*a) + delta)
+sys.exit(main(sys.argv[3:]))
 """
 
 
@@ -618,7 +625,8 @@ class TestParserReuse:
 
     CALLS = [
         ("intact", ("extremal", "--objective", "min")),  # usage error
-        ("broken", ("verify", "--samples", "200")),
+        ("s_of_parts", ("verify", "--samples", "200")),
+        ("chsh_max", ("verify", "--samples", "200")),  # a group raises
         ("intact", ("classify", *GENERIC_STATE)),
         ("intact", ("extremal", "--concurrence", "0.3", "--method", "both",
                     "--objective", "min")),
@@ -631,7 +639,8 @@ class TestParserReuse:
         fresh = []
         for route, argv in self.CALLS:
             done = subprocess.run(
-                [sys.executable, "-c", FRESH_MAIN, route, *argv],
+                [sys.executable, "-c", FRESH_MAIN, route, str(BROKEN.get(route, 0.0)),
+                 *argv],
                 capture_output=True, text=True,
                 env={**os.environ, "PYTHONPATH": path},
             )
@@ -640,9 +649,9 @@ class TestParserReuse:
         shared = []
         for route, argv in self.CALLS:
             with monkeypatch.context() as patch:
-                if route == "broken":
-                    original = checks.s_of_parts
-                    patch.setattr(checks, "s_of_parts", lambda *a: original(*a) + 1e-9)
+                if route != "intact":
+                    original, delta = getattr(checks, route), BROKEN[route]
+                    patch.setattr(checks, route, lambda *a: original(*a) + delta)
                 try:
                     code = main(list(argv))
                 except SystemExit as exc:
@@ -651,7 +660,7 @@ class TestParserReuse:
             shared.append((code, captured.out, captured.err))
 
         assert shared == fresh
-        usage, verify, classify, extremal = shared
+        usage, verify, raised, classify, extremal = shared
         assert usage[0] == 1 and usage[1] == ""
         assert usage[2].startswith("usage: kcbs-msr extremal ")
         assert usage[2].endswith("error: the following arguments are required: --concurrence\n")
@@ -659,6 +668,14 @@ class TestParserReuse:
         rows = {line.split()[0]: line for line in verify[1].splitlines()}
         assert rows["s-four-way-equivalence"].endswith("  FAIL")
         assert verify[1].splitlines()[-1] == "FAILED: s-four-way-equivalence"
+        assert raised[0] == 2
+        assert raised[1].splitlines()[-1] == (
+            "FAILED: chsh-endpoints, chsh-smin-composition, chsh-offset-proportionality"
+        )
+        assert raised[2].startswith(
+            "error: _check_chsh raised ValueError: beta out of [2, 2*sqrt(2)]"
+        )
+        assert raised[2].count("\n") == 1
         assert classify == (0, CLASSIFY_GENERIC, "")
         assert extremal == (0, EXTREMAL_MIN_03, "")
         assert cli._build_parser() is cli._build_parser()

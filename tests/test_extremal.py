@@ -111,6 +111,17 @@ class TestThetaSets:
                         target, abs=1e-10
                     )
 
+    @pytest.mark.parametrize("c", [1e-10, 2e-10, 1.0 - 1e-10, 1.0 - 9e-10])
+    @pytest.mark.parametrize("objective", ["minimize", "maximize"])
+    def test_witnesses_reproduce_c_near_the_ends(self, c, objective):
+        # Near the ends the delta_phi off the gap's zero set gives a C within
+        # 1e-9 of c, but no witness.  The true witnesses measured at most
+        # 1.1e-16, one ulp of a c just below 1; the bound allows two.
+        witnesses = extremal_witnesses(c, objective)
+        assert witnesses
+        for t1, t2, dphi in witnesses:
+            assert abs(concurrence_function(t1, t2, dphi) - c) <= 2.3e-16
+
 
 class TestNumericSearch:
     def test_separable_minimum(self):
