@@ -30,18 +30,15 @@ tests.
 
 Formatting is nearly all of a scan's time, so where the process may run on
 more than one CPU ``write_scan`` forks one helper process (one was measured
-to pay, on 2 CPUs; more CPUs fork no more).  The two processes run the same
-slab loop over contiguous halves of the theta1 slabs: the caller writes the
-first half to the temporary file, and the helper writes the second half to
-an unnamed part file in the same directory and then sends its regime counts,
-its only message.  The caller appends the part file to its own half, so
-until that copy ends the scan takes about half the output again in disk
-space.  Each process holds one slab's arrays and one row of text; the helper
-also comes to own the caller's pages that the caller writes after the fork,
-which leaves it 3-7 MB of private memory at resolutions 64-128.  From
-Python 3.12, where ``os.fork`` warns in a process with more than one thread
-(numpy's OpenBLAS threads make most processes so), a scan forks only where
-the process has one thread.
+to pay, on 2 CPUs; more CPUs fork no more), which writes the second half of
+the theta1 slabs to an unnamed part file in the target's directory; until
+the caller has copied it after its own half, the scan takes about half the
+output again in disk space.  Each process holds one slab's arrays and one
+row of text; the helper also comes to own the caller's pages that the
+caller writes after the fork, which leaves it 3-7 MB of private memory at
+resolutions 64-128.  From Python 3.12, where ``os.fork`` warns in a process
+with more than one thread (numpy's OpenBLAS threads make most processes
+so), a scan forks only where the process has one thread.
 """
 
 from __future__ import annotations
@@ -305,78 +302,77 @@ def _close_fds_but(*keep: int) -> None:
     os.closerange(low, os.sysconf("SC_OPEN_MAX"))
 
 
-def _start_helper(directory: Path, slabs, rows, th: np.ndarray, dp: np.ndarray):
-    """Fork the helper that writes the text of ``slabs`` to an unnamed part
-    file in ``directory``; return (pid, pipe, part), its pid, the read end
-    of its pipe and the part file, or None if any of the three fails.
+def _write_halves(out, path: Path, rows, th: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """Write the text of every theta1 slab to ``out`` and return their
+    regime counts, forking a helper for the second half where
+    ``_forks_helper()``; a helper that fails raises an error naming ``path``.
 
-    The helper first closes every descriptor above 2 but the part file and
-    its end of the pipe, so that it holds open no pipe, file or socket of
-    the caller, nor of a scan running in another thread.  Once the part
-    file is complete it writes its regime counts, three int64, to the pipe.
-    It leaves only through ``os._exit``, so that it flushes no inherited
-    buffer and runs none of the caller's exit handlers.
+    The helper writes slabs [resolution // 2, resolution) to an unnamed part
+    file in ``path``'s directory while the caller writes the slabs before
+    them to ``out``.  It first closes every descriptor above 2 but the part
+    file and its end of a pipe, so that it holds open no pipe, file or
+    socket of the caller, nor of a scan running in another thread; it stops
+    before any slab at which its parent is no longer the caller.  Once the
+    part file is complete it writes its regime counts, three int64, to the
+    pipe, its only message, and leaves, as on any error, through
+    ``os._exit``, so that it flushes no inherited buffer and runs none of
+    the caller's exit handlers.  The caller then reads the counts (or end
+    of file, if the helper failed) and copies the part file after its own
+    half.  An ``OSError`` making the part file, the pipe or the fork leaves
+    the caller to write every slab.  Whatever happens, the caller closes
+    its end of the pipe and the part file and reaps the helper, killing it
+    first only if the caller raised before it read the pipe: a helper whose
+    counts or end of file the caller has read has ended, and may be reaped
+    already where SIGCHLD is ignored, so its pid must not be signalled.
     """
-    part, fds = None, []
+    resolution = half = len(th)
+    pid = part = reply = None  # the helper's pid, its part file and its counts
+    fds = []  # the pipe's ends that the caller holds
     try:
-        part = tempfile.TemporaryFile(dir=directory)
-        fds += os.pipe()
-        caller = os.getpid()
-        pid = os.fork()
-    except BaseException as exc:
-        # A helper forked before the error finds no reader for its counts.
+        if _forks_helper():
+            try:
+                part = tempfile.TemporaryFile(dir=path.parent)
+                fds += os.pipe()
+                caller = os.getpid()
+                pid = os.fork()
+                half = resolution // 2
+            except OSError:
+                pass  # the caller writes every slab
+        if pid == 0:
+            status = 1
+            try:
+                _close_fds_but(part.fileno(), fds[1])
+                counts = _write_slabs(part, _while_parent_is(caller, range(half, resolution)), rows, th, dp)
+                part.flush()
+                os.write(fds[1], counts.tobytes())
+                status = 0
+            finally:
+                os._exit(status)
+        if pid:
+            os.close(fds.pop())  # so that a helper that fails leaves end of file
+        counts = _write_slabs(out, range(half), rows, th, dp)
+        if pid:
+            reply = os.read(fds[0], 24)  # written at once
+            if len(reply) < 24:
+                raise OSError(errno.EPIPE, f"scan helper process {pid} failed", str(path))
+            part.seek(0)
+            shutil.copyfileobj(part, out, 1 << 16)
+            counts += np.frombuffer(reply, np.int64)
+        return counts
+    finally:
         for fd in fds:
             os.close(fd)
         if part is not None:
             part.close()
-        if isinstance(exc, OSError):
-            return None
-        raise
-    pipe, counts_w = fds
-    if pid == 0:
-        status = 1
-        try:
-            _close_fds_but(part.fileno(), counts_w)
-            counts = _write_slabs(part, _while_parent_is(caller, slabs), rows, th, dp)
-            part.flush()
-            os.write(counts_w, counts.tobytes())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(counts_w)
-    return pid, pipe, part
+        if pid:
+            if reply is None:
+                import signal  # here, so that importing the package does not load it
 
-
-def _join_helper(helper, out, path: Path) -> np.ndarray:
-    """Wait for the helper's counts, then copy its part file after what
-    ``out`` holds; return the counts.  A helper that fails raises an error
-    naming ``path``."""
-    pid, pipe, part = helper
-    counts = os.read(pipe, 24)  # written at once, or end of file if it failed
-    if len(counts) < 24:
-        raise OSError(errno.EPIPE, f"scan helper process {pid} failed", str(path))
-    out.flush()
-    part.seek(0)
-    shutil.copyfileobj(part, out, 1 << 16)
-    return np.frombuffer(counts, np.int64)
-
-
-def _stop_helper(helper, kill: bool = False) -> None:
-    """Reap the helper, first killing it if ``kill``, and close the caller's
-    end of its pipe and its part file; does nothing for None."""
-    if helper is None:
-        return
-    pid, pipe, part = helper
-    if kill:
-        import signal  # here, so that importing the package does not load it
-
-        os.kill(pid, signal.SIGKILL)
-    os.close(pipe)
-    part.close()
-    try:
-        os.waitpid(pid, 0)
-    except ChildProcessError:  # reaped already, where SIGCHLD is ignored
-        pass
+                os.kill(pid, signal.SIGKILL)
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already, where SIGCHLD is ignored
+                pass
 
 
 def write_scan(config: ScanConfig) -> ScanSummary:
@@ -390,15 +386,11 @@ def write_scan(config: ScanConfig) -> ScanSummary:
     counts always equal what a reader of the emitted file would recompute.
 
     Where the process may run on more than one CPU and can fork there
-    without a warning, a forked helper evaluates and writes slabs
-    [resolution // 2, resolution) to an unnamed part file in the target's
-    directory while the caller does the slabs before them; the caller then
-    reads the helper's regime counts and copies the part file after its own
-    half, which takes about half the output again in disk space until the
-    copy ends.  The helper is reaped before this returns or raises, and
-    killed first if the caller raises; a helper that fails fails the scan
-    with an error naming the target, and one whose caller has ended stops at
-    its next slab.
+    without a warning, a forked helper writes the second half of the slabs
+    (see ``_write_halves``), which takes about half the output again in disk
+    space until the scan ends.  The helper is reaped before this returns or
+    raises; a helper that fails fails the scan with an error naming the
+    target, and one whose caller has ended stops at its next slab.
     """
     path = Path(config.output_path)
     if path.is_dir():
@@ -412,23 +404,12 @@ def write_scan(config: ScanConfig) -> ScanSummary:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise _naming(exc, path) from None
-    helper = None  # (pid, pipe, part) of the forked helper
     try:
-        try:
-            with open(fd, "wb") as out:
-                # Nothing is buffered in out yet, so the helper inherits no text.
-                if _forks_helper():
-                    helper = _start_helper(path.parent, range(resolution // 2, resolution), rows, th, dp)
-                half = resolution if helper is None else resolution // 2
-                out.write(opening.encode("utf-8"))
-                counts = _write_slabs(out, range(half), rows, th, dp)
-                if helper is not None:
-                    counts += _join_helper(helper, out, path)
-                out.write(closing.encode("utf-8"))
-        except BaseException:
-            _stop_helper(helper, kill=True)
-            raise
-        _stop_helper(helper)
+        with open(fd, "wb") as out:
+            out.write(opening.encode("utf-8"))
+            out.flush()  # so that a forked helper inherits no buffered text
+            counts = _write_halves(out, path, rows, th, dp)
+            out.write(closing.encode("utf-8"))
         try:
             os.replace(tmp, path)
         except OSError as exc:

@@ -3,7 +3,10 @@
 sympy builds the frame from its definition, cos^2(Theta) = cos(pi/5) /
 (1 + cos(pi/5)) and azimuthal step 4 pi/5, with exact spin-1 matrices, so
 the diagonal form of the cyclic operator is proved rather than sampled, and
-the float construction is measured against it.
+the float construction is measured against it.  From the star amplitudes
+it also proves the minimum law S >= S_min(C) as identities: S depends on
+the state only through the m = 0 weight, and the gap S - S_min(C) is a
+positive multiple of a sum of squares.
 """
 
 from functools import cache
@@ -81,3 +84,50 @@ class TestExactOperator:
         exact = np.array(EXACT_DIAGONAL.evalf(30).tolist(), dtype=float)
         found = kcbs_operator_from_frame(pentagram_vectors())
         assert np.max(np.abs(found - exact)) <= 1e-14
+
+
+# Star angles with t1 = 2 u1 and t2 = 2 u2, so the amplitudes' half angles
+# are plain symbols, and x, y and f of the states docstring.
+U1, U2, P1, P2 = sp.symbols("u1 u2 p1 p2", real=True)
+T1, T2, DPHI = 2 * U1, 2 * U2, P1 - P2
+X = sp.sin(T1) * sp.sin(T2) * sp.cos(DPHI)
+Y = sp.cos(T1) * sp.cos(T2)
+
+
+def exact_weights():
+    """|a1|^2, |b|^2 and |a2|^2 of the amplitudes in the ``states``
+    docstring, with N^2 = (f + 3)/4."""
+    c1, s1, c2, s2 = sp.cos(U1), sp.sin(U1), sp.cos(U2), sp.sin(U2)
+    scaled = [
+        c1 * c2,
+        (sp.exp(sp.I * P1) * s1 * c2 + sp.exp(sp.I * P2) * c1 * s2) / sp.sqrt(2),
+        sp.exp(sp.I * (P1 + P2)) * s1 * s2,
+    ]
+    norm2 = (X + Y + 3) / 4
+    return [sp.expand(a * sp.conjugate(a)).rewrite(sp.cos) / norm2 for a in scaled]
+
+
+class TestMinimumLaw:
+    def test_s_depends_only_on_the_middle_weight(self):
+        # The weights sum to 1 and K is diagonal with equal outer entries,
+        # so S = SPECTRUM_MAX + (SPECTRUM_MIN - SPECTRUM_MAX) p0.
+        weights = exact_weights()
+        assert sp.simplify(sum(weights) - 1) == 0
+        assert EXACT_DIAGONAL[0, 0] == EXACT_DIAGONAL[2, 2]
+        p0 = 1 - 2 * (1 + Y) / (3 + X + Y)
+        assert sp.simplify(weights[1] - p0) == 0
+
+    def test_gap_is_a_multiple_of_one_minus_x_plus_y(self):
+        # S - S_min(C) = (6 sqrt5 - 10)(1 - x + y)/(3 + f), over x and y.
+        x, y = sp.symbols("x y", real=True)
+        f = x + y
+        top, bottom = EXACT_DIAGONAL[0, 0], EXACT_DIAGONAL[1, 1]
+        s = top + (bottom - top) * (1 - 2 * (1 + y) / (3 + f))
+        c = (1 - f) / (3 + f)
+        s_min = (5 - 3 * SQRT5) * c - SQRT5
+        assert (6 * SQRT5 - 10).is_positive
+        assert sp.simplify(s - s_min - (6 * SQRT5 - 10) * (1 - x + y) / (3 + f)) == 0
+
+    def test_one_minus_x_plus_y_is_a_sum_of_squares(self):
+        squares = 2 * sp.cos((T1 + T2) / 2) ** 2 + 2 * sp.sin(T1) * sp.sin(T2) * sp.sin(DPHI / 2) ** 2
+        assert sp.simplify(1 - X + Y - squares) == 0

@@ -432,6 +432,20 @@ def forked(monkeypatch):
     return pids
 
 
+@pytest.fixture
+def killed(monkeypatch):
+    """The pids that ``os.kill`` signals during the test."""
+    kill = os.kill
+    pids = []
+
+    def recording_kill(pid, signum):
+        pids.append(pid)
+        kill(pid, signum)
+
+    monkeypatch.setattr(os, "kill", recording_kill)
+    return pids
+
+
 @pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and os.path.isdir("/proc/self/fd")),
     reason="needs os.fork, os.sched_getaffinity and /proc/self/fd",
@@ -659,6 +673,63 @@ class TestFormatterProcesses:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         _assert_no_child()
         assert _open_fds() == fds
+
+    def test_helper_that_sent_its_counts_is_not_killed(self, tmp_path, processes, forked, killed):
+        # Where SIGCHLD is ignored such a helper may be reaped already, and
+        # its pid taken by another process.
+        processes(2)
+        path = tmp_path / "scan.json"
+        write_scan(ScanConfig(resolution=7, output_path=path, output_format="json"))
+        assert path.read_bytes() == _reference(7, "json")[0]
+        assert len(forked) == _forks(2)
+        assert killed == []
+        _assert_no_child()
+
+    def test_error_copying_the_part_file_fails_the_scan(
+        self, tmp_path, monkeypatch, processes, forked, killed
+    ):
+        # The disk fills as the caller appends the helper's half; the helper
+        # has sent its counts, so it is reaped, not killed.
+        processes(2)
+
+        def full_disk(source, target, length=0):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(scan.shutil, "copyfileobj", full_disk)
+        path = tmp_path / "scan.csv"
+        path.write_bytes(b"previous contents\n")
+        fds = _open_fds()
+        if _forks(2):
+            with pytest.raises(OSError) as error:
+                write_scan(ScanConfig(resolution=9, output_path=path))
+            assert error.value.errno == errno.ENOSPC
+            assert path.read_bytes() == b"previous contents\n"
+        else:
+            write_scan(ScanConfig(resolution=9, output_path=path))
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert len(forked) == _forks(2)
+        assert killed == []
+        _assert_no_child()
+        assert _open_fds() == fds
+
+    def test_caller_error_kills_the_helper(self, tmp_path, monkeypatch, processes, forked, killed):
+        # The caller fails at its first slab, before it reads the helper's
+        # counts, so the helper is killed, not waited for.
+        processes(2)
+        caller = os.getpid()
+        evaluate = scan._evaluate
+
+        def failing_evaluate(*args):
+            if os.getpid() == caller:
+                raise RuntimeError("slab failed")
+            return evaluate(*args)
+
+        monkeypatch.setattr(scan, "_evaluate", failing_evaluate)
+        with pytest.raises(RuntimeError, match="slab failed"):
+            write_scan(ScanConfig(resolution=9, output_path=tmp_path / "scan.csv"))
+        assert killed == forked
+        assert list(tmp_path.iterdir()) == []
+        _assert_no_child()
 
     def test_helper_of_killed_caller_exits(self, tmp_path):
         # A caller killed mid-scan leaves its helper to another parent; the
