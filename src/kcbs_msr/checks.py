@@ -12,6 +12,12 @@ routes that share no code: closed forms against the matrix expectation, the
 diagonal operator against the pentagram construction, the linear minimum
 law against a constrained grid search, and the threshold concurrence
 against bisection.
+
+The sampled group draws its angles a chunk at a time and evaluates each
+sine and cosine of a chunk once: the star rows, the swapped and the
+phase-turned rows and x, y, f share them through the trig row functions
+of ``states``, with the same bits as ``_qutrit_rows`` and
+``_overlap_parts``.  Every row set still passes the unit-norm gate.
 """
 
 from __future__ import annotations
@@ -56,10 +62,11 @@ from .observables import (
 )
 from .states import (
     DEFAULT_SEED,
+    _cos_sin,
+    _gated_rows,
     _overlap_angles,
-    _overlap_parts,
-    _qutrit_rows,
-    _sample_angles,
+    _overlap_of_trig,
+    _sample_chunks,
 )
 
 __all__ = ["CheckResult", "run_all_checks"]
@@ -69,8 +76,9 @@ _C_GRID = [k / 10.0 for k in range(11)]
 # here and in the ``extremal --method both`` command.
 _ORACLE_TOLERANCE = 1e-6
 
-# Star pairs per batch of the sampled checks: memory stays flat in the
-# sample count, and the arrays stay small enough for the CPU caches.
+# Star pairs per batch of the sampled checks: each chunk is drawn as it is
+# checked, so memory stays flat in the sample count, and the arrays stay
+# small enough for the CPU caches.
 _CHUNK = 4096
 # Azimuth by which global-phase-invariance turns both stars.
 _PHASE_SHIFT = 0.7
@@ -120,18 +128,34 @@ class CheckResult:
         object.__setattr__(self, "passed", self.max_error <= self.tolerance)
 
 
+def _chunk_rows(thetas: np.ndarray, phis: np.ndarray) -> tuple:
+    """The qutrit rows of one chunk of star angles, of the same stars
+    swapped and of both stars turned by ``_PHASE_SHIFT``, and x, y, f.
+
+    Each sine and cosine is evaluated once and shared, and every array
+    equals its ``_qutrit_rows`` or ``_overlap_parts`` of the same angles
+    bit for bit."""
+    t1, t2 = thetas[:, 0], thetas[:, 1]
+    p1, p2 = phis[:, 0], phis[:, 1]
+    half1, half2 = _cos_sin(0.5 * t1), _cos_sin(0.5 * t2)
+    full1, full2 = _cos_sin(t1), _cos_sin(t2)
+    phase1, phase2, phase_sum = _cos_sin(p1), _cos_sin(p2), _cos_sin(p1 + p2)
+    x, y, f = _overlap_of_trig(full1, full2, np.cos(p1 - p2))
+    v = _gated_rows(half1, half2, phase1, phase2, phase_sum, f)
+    swapped = _gated_rows(half2, half1, phase2, phase1, phase_sum, f)
+    # Normalized into [0, 2*pi) as BlochAngles normalizes a turned azimuth.
+    shifted = (phis + _PHASE_SHIFT) % (2.0 * math.pi)
+    q1, q2 = shifted[:, 0], shifted[:, 1]
+    turned_f = _overlap_of_trig(full1, full2, np.cos(q1 - q2))[2]
+    w = _gated_rows(half1, half2, _cos_sin(q1), _cos_sin(q2), _cos_sin(q1 + q2), turned_f)
+    return v, swapped, w, (x, y, f)
+
+
 def _chunk_errors(thetas: np.ndarray, phis: np.ndarray) -> tuple[dict, int]:
     """The sampled checks on one chunk of star angles: the largest error of
     each by check name, and the count of contextual states at or below the
     threshold concurrence."""
-    t1, t2 = thetas[:, 0], thetas[:, 1]
-    p1, p2 = phis[:, 0], phis[:, 1]
-    v = _qutrit_rows(t1, p1, t2, p2)
-    swapped = _qutrit_rows(t2, p2, t1, p1)
-    # Normalized into [0, 2*pi) as BlochAngles normalizes a turned azimuth.
-    shifted = (phis + _PHASE_SHIFT) % (2.0 * math.pi)
-    w = _qutrit_rows(t1, shifted[:, 0], t2, shifted[:, 1])
-    x, y, f = _overlap_parts(t1, t2, p1 - p2)
+    v, swapped, w, (x, y, f) = _chunk_rows(thetas, phis)
     c = concurrence_of_overlap(f)
     s = s_of_overlap(f, y)
     ev = _expectation_rows(v, kcbs_operator_diagonal())
@@ -159,15 +183,17 @@ def _chunk_errors(thetas: np.ndarray, phis: np.ndarray) -> tuple[dict, int]:
     return largest, np.count_nonzero(contextual & below)
 
 
-def _check_samples(thetas: np.ndarray, phis: np.ndarray) -> dict[str, float]:
-    """The sampled checks on the star angles, batched over chunks of
-    ``_CHUNK`` pairs.  Each error is a maximum or a sum over the pairs, so
-    the chunking cannot change it."""
-    per_chunk = [
-        _chunk_errors(thetas[k : k + _CHUNK], phis[k : k + _CHUNK])
-        for k in range(0, len(thetas), _CHUNK)
-    ]
-    errors, violations = zip(*per_chunk)
+def _check_samples(thetas, phis) -> dict[str, float]:
+    """The sampled checks on the star angles, a chunk at a time.
+
+    ``thetas`` and ``phis`` are two (count, 2) arrays, cut into chunks of
+    ``_CHUNK`` pairs, or two iterators that yield the chunks in step, as
+    :func:`_sample_chunks` draws them.  Each error is a maximum or a sum
+    over the pairs, so the chunking cannot change it."""
+    if isinstance(thetas, np.ndarray):
+        cuts = range(_CHUNK, len(thetas), _CHUNK)
+        thetas, phis = np.split(thetas, cuts), np.split(phis, cuts)
+    errors, violations = zip(*map(_chunk_errors, thetas, phis))
     largest = {name: np.max([e[name] for e in errors]) for name in errors[0]}
     return {**largest, "contextual-implies-entangled": float(sum(violations))}
 
@@ -265,7 +291,8 @@ def _check_chsh() -> dict[str, float]:
     }
 
 
-# Every check group, in run order; only ``_check_samples`` takes the sampled angles.
+# Every check group, in run order; only ``_check_samples`` takes the sampled
+# angles, which it draws chunk by chunk as it checks them.
 _GROUPS = (
     _check_samples,
     _check_concurrence_roundtrip,
@@ -284,7 +311,7 @@ def run_all_checks(samples: int = 1000, seed: int = DEFAULT_SEED) -> list[CheckR
         raise ValueError(f"samples must be at least 1: got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative: got {seed}")
-    angles = _sample_angles(samples, seed)
+    angles = _sample_chunks(samples, seed, _CHUNK)
     errors = {}
     for group in _GROUPS:
         try:

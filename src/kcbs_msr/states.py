@@ -16,18 +16,22 @@ depends on.  The qutrit amplitudes in the (m = +1, 0, -1) basis are
 with ck = cos(tk/2), sk = sin(tk/2) and N^2 = (f + 3)/4.  Since f >= -1,
 N^2 >= 1/2 and the normalization never degenerates.
 
-Each formula is written once, over numpy arrays of angles: the row
-functions ``_overlap_parts``, ``_amplitude_rows`` and ``_overlap_angles``.
-The public scalar functions (``f_function``, ``msr_to_qutrit``,
+Each formula is written once, over numpy arrays: the row functions
+``_overlap_of_trig``, ``_amplitude_rows`` and ``_overlap_angles``.  The
+first two take the sines and cosines of the angles, not the angles, so a
+caller that needs several of them evaluates each sine and cosine once;
+``_overlap_parts`` and ``_amplitude_terms`` compute that trig from the
+angles.  The public scalar functions (``f_function``, ``msr_to_qutrit``,
 ``overlap_angle``) are 1-row calls of them, returning Python numbers.
 The unit-norm gate ``_unit_rows`` runs once on each path: in
-``_qutrit_rows`` for a batch of rows, in :class:`Qutrit` for one state.
+``_gated_rows`` for a batch of rows, in :class:`Qutrit` for one state.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,8 +152,9 @@ def f_value(pair: MsrPair) -> float:
 def msr_to_qutrit(pair: MsrPair) -> Qutrit:
     """Effective-qutrit amplitudes of the symmetric state with the given stars."""
     star1, star2 = pair.star1, pair.star2
-    row = _amplitude_rows(*_one_row(star1.theta, star1.phi, star2.theta, star2.phi))
-    # Qutrit holds its amplitudes to the unit-norm gate of _qutrit_rows.
+    angles = _one_row(star1.theta, star1.phi, star2.theta, star2.phi)
+    row = _amplitude_rows(*_amplitude_terms(*angles))
+    # Qutrit holds its amplitudes to the unit-norm gate of _gated_rows.
     return Qutrit(*row[0].tolist())
 
 
@@ -169,22 +174,55 @@ def _one_row(*values) -> np.ndarray:
 
 def _sample_angles(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The star angles of :func:`sample_pairs` as two (count, 2) arrays,
-    ``thetas`` and ``phis``; column 0 is star 1.  Each phi is normalized
-    into [0, 2*pi) as :class:`BlochAngles` normalizes it."""
+    ``thetas`` and ``phis``: :func:`_sample_chunks` in one chunk."""
+    thetas, phis = _sample_chunks(count, seed, max(count, 1))
+    empty = np.empty((0, 2))
+    return next(thetas, empty), next(phis, empty)
+
+
+def _sample_chunks(count: int, seed: int, size: int) -> tuple[Iterator, Iterator]:
+    """The star angles of :func:`sample_pairs`, ``size`` pairs at a time.
+
+    Two iterators, ``thetas`` and ``phis``, yield (n, 2) arrays in step:
+    column 0 is star 1, and n is ``size`` except in the last chunk.  Each
+    phi is normalized into [0, 2*pi) as :class:`BlochAngles` normalizes it.
+    A chunk is drawn when it is asked for, so memory stays flat in
+    ``count``.  The seed's stream holds the 2 * count theta draws, then the
+    2 * count phi draws; the phis come from a second generator advanced past
+    the thetas, so no angle depends on ``size``.
+    """
     if count < 0:
         raise ValueError(f"count must be non-negative: got {count}")
-    rng = np.random.default_rng(seed)
-    thetas = np.arccos(rng.uniform(-1.0, 1.0, size=(count, 2)))
-    phis = rng.uniform(0.0, _TWO_PI, size=(count, 2))
-    np.remainder(phis, _TWO_PI, out=phis)
+    theta_rng, phi_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    phi_rng.bit_generator.advance(2 * count)
+    sizes = [min(size, count - start) for start in range(0, count, size)]
+
+    def draws(rng, low, high):
+        for n in sizes:
+            yield rng.uniform(low, high, size=(n, 2))
+
+    thetas = map(np.arccos, draws(theta_rng, -1.0, 1.0))
+    phis = (np.remainder(p, _TWO_PI, out=p) for p in draws(phi_rng, 0.0, _TWO_PI))
     return thetas, phis
+
+
+def _cos_sin(angle):
+    """(cos, sin) of an angle array: the unit of trig the row functions take."""
+    return np.cos(angle), np.sin(angle)
 
 
 def _overlap_parts(theta1, theta2, delta_phi):
     """x = sin t1 sin t2 cos(dphi), y = cos t1 cos t2 and the overlap
     f = x + y clamped into [-1, 1], over broadcast angle arrays."""
-    x = np.sin(theta1) * np.sin(theta2) * np.cos(delta_phi)
-    y = np.cos(theta1) * np.cos(theta2)
+    return _overlap_of_trig(_cos_sin(theta1), _cos_sin(theta2), np.cos(delta_phi))
+
+
+def _overlap_of_trig(trig1, trig2, cos_dphi):
+    """:func:`_overlap_parts` on ``_cos_sin`` of theta1 and of theta2 and
+    the cosine of delta_phi."""
+    (cos1, sin1), (cos2, sin2) = trig1, trig2
+    x = sin1 * sin2 * cos_dphi
+    y = cos1 * cos2
     return x, y, np.clip(x + y, -1.0, 1.0)
 
 
@@ -204,7 +242,7 @@ def _norm_squared(f):
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """``rows`` of qutrit amplitudes, each held to the unit-norm gate of
     :class:`Qutrit`: |psi|^2 within ``_NORM_TOL`` of 1, NaN failing."""
-    mod2 = np.hypot(rows.real, rows.imag) ** 2
+    mod2 = rows.real**2 + rows.imag**2
     norm2 = mod2[:, 0] + mod2[:, 1] + mod2[:, 2]
     bad = ~(np.abs(norm2 - 1.0) <= _NORM_TOL)
     if bad.any():
@@ -221,11 +259,27 @@ def _qutrit_rows(theta1, phi1, theta2, phi2) -> np.ndarray:
     Each phi must already be normalized into [0, 2*pi), as in a
     :class:`BlochAngles`.
     """
-    return _unit_rows(_amplitude_rows(theta1, phi1, theta2, phi2))
+    return _gated_rows(*_amplitude_terms(theta1, phi1, theta2, phi2))
 
 
-def _amplitude_rows(theta1, phi1, theta2, phi2) -> np.ndarray:
-    """The rows of :func:`_qutrit_rows` before the unit-norm gate.
+def _gated_rows(*terms) -> np.ndarray:
+    """:func:`_amplitude_rows` of ``terms``, held to the unit-norm gate."""
+    return _unit_rows(_amplitude_rows(*terms))
+
+
+def _amplitude_terms(theta1, phi1, theta2, phi2):
+    """The trig and the overlap that :func:`_amplitude_rows` takes, at
+    these angles: ``_cos_sin`` of theta1/2, theta2/2, phi1, phi2 and
+    phi1 + phi2, then f."""
+    f = _overlap_parts(theta1, theta2, phi1 - phi2)[2]
+    half1, half2 = _cos_sin(0.5 * theta1), _cos_sin(0.5 * theta2)
+    return half1, half2, _cos_sin(phi1), _cos_sin(phi2), _cos_sin(phi1 + phi2), f
+
+
+def _amplitude_rows(half1, half2, phase1, phase2, phase_sum, f) -> np.ndarray:
+    """The amplitude rows before the unit-norm gate, from the terms of
+    :func:`_amplitude_terms`.  Swapping the stars swaps the arguments in
+    pairs: cos is even and + commutes, so phase_sum and f stay.
 
     Written in real and imaginary parts, so that each amplitude rounds as
     Python's complex arithmetic rounds the formula of the module docstring;
@@ -233,16 +287,16 @@ def _amplitude_rows(theta1, phi1, theta2, phi2) -> np.ndarray:
     differently.  Adding 0.0 turns the -0.0 parts of an amplitude that
     vanishes at a pole into +0.0, so that it prints as 0, not -0.
     """
-    c1, s1 = np.cos(0.5 * theta1), np.sin(0.5 * theta1)
-    c2, s2 = np.cos(0.5 * theta2), np.sin(0.5 * theta2)
-    norm = np.sqrt(_norm_squared(_overlap_parts(theta1, theta2, phi1 - phi2)[2]))
+    (c1, s1), (c2, s2) = half1, half2
+    (cos1, sin1), (cos2, sin2), (cos_sum, sin_sum) = phase1, phase2, phase_sum
+    norm = np.sqrt(_norm_squared(f))
     rows = np.empty((len(c1), 3), dtype=complex)
     rows.real[:, 0] = c1 * c2 / norm
     rows.imag[:, 0] = 0.0
-    rows.real[:, 1] = (np.cos(phi1) * s1 * c2 + np.cos(phi2) * c1 * s2) / _SQRT2 / norm
-    rows.imag[:, 1] = (np.sin(phi1) * s1 * c2 + np.sin(phi2) * c1 * s2) / _SQRT2 / norm
-    rows.real[:, 2] = np.cos(phi1 + phi2) * s1 * s2 / norm
-    rows.imag[:, 2] = np.sin(phi1 + phi2) * s1 * s2 / norm
+    rows.real[:, 1] = (cos1 * s1 * c2 + cos2 * c1 * s2) / _SQRT2 / norm
+    rows.imag[:, 1] = (sin1 * s1 * c2 + sin2 * c1 * s2) / _SQRT2 / norm
+    rows.real[:, 2] = cos_sum * s1 * s2 / norm
+    rows.imag[:, 2] = sin_sum * s1 * s2 / norm
     return rows + 0.0
 
 

@@ -37,8 +37,10 @@ from kcbs_msr.states import (
     InvalidStateError,
     MsrPair,
     Qutrit,
+    _overlap_parts,
     _qutrit_rows,
     _sample_angles,
+    _sample_chunks,
     _unit_rows,
     f_function,
     f_value,
@@ -116,6 +118,21 @@ def test_amplitude_rows(pairs, rows):
     assert np.array_equal(bits(single), bits(rows))
     parts = rows.view(float)
     assert not np.any((parts == 0.0) & np.signbit(parts))
+
+
+def test_shared_trig_rows_match_the_row_functions(angles):
+    # _chunk_rows evaluates each sine and cosine once for the stars, the
+    # swapped stars, the turned stars and x, y, f; each array must keep
+    # every bit of its own row function.
+    thetas, phis = angles
+    t1, t2, p1, p2 = thetas[:, 0], thetas[:, 1], phis[:, 0], phis[:, 1]
+    turned = (phis + checks._PHASE_SHIFT) % (2.0 * PI)
+    v, swapped, w, parts = checks._chunk_rows(thetas, phis)
+    assert np.array_equal(bits(v), bits(_qutrit_rows(t1, p1, t2, p2)))
+    assert np.array_equal(bits(swapped), bits(_qutrit_rows(t2, p2, t1, p1)))
+    assert np.array_equal(bits(w), bits(_qutrit_rows(t1, turned[:, 0], t2, turned[:, 1])))
+    for shared, own in zip(parts, _overlap_parts(t1, t2, p1 - p2), strict=True):
+        assert np.array_equal(bits(shared), bits(own))
 
 
 def test_matrix_expectation_and_norm(rows):
@@ -249,8 +266,8 @@ def test_expectation_gate_rejects_as_expectation_value_does(rows):
 
 
 def test_sampled_checks_memory_is_bounded():
-    # The sampled angles take 6.4 MB at 200 k pairs; the checks' own
-    # arrays must not grow with the sample count.
+    # All the angles at once would take 6.4 MB at 200 k pairs; the checks
+    # draw and check them a chunk at a time.
     tracemalloc.start()
     try:
         results = run_all_checks(samples=200_000)
@@ -260,3 +277,26 @@ def test_sampled_checks_memory_is_bounded():
     assert len(results) == 23
     assert all(r.passed for r in results)
     assert peak < 20 * 2**20
+
+
+def test_sampled_checks_memory_is_flat_in_the_sample_count():
+    # Drawn all at once, the angles would add 6.4 MB to the second peak.
+    peaks = []
+    for samples in (200_000, 400_000):
+        tracemalloc.start()
+        try:
+            run_all_checks(samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20
+
+
+def test_chunked_draws_match_the_draws_at_once():
+    # The phis come from a second generator advanced past the thetas, so
+    # the chunk size cannot move an angle.
+    thetas, phis = _sample_angles(10_007, 3)
+    for size in (checks._CHUNK, 1000, 7):
+        theta_chunks, phi_chunks = _sample_chunks(10_007, 3, size)
+        assert np.array_equal(bits(np.concatenate(list(theta_chunks))), bits(thetas))
+        assert np.array_equal(bits(np.concatenate(list(phi_chunks))), bits(phis))

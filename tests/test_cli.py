@@ -126,6 +126,34 @@ contextual-implies-entangled   max_error=0.000e+00  tolerance=0.0e+00  PASS
 all 23 checks passed
 """
 
+# The benchmark's op: two full chunks of pairs and a last chunk of 1,808.
+VERIFY_10000 = """\
+qutrit-normalization           max_error=6.661e-16  tolerance=1.0e-12  PASS
+star-swap-symmetry             max_error=3.342e-16  tolerance=1.0e-12  PASS
+global-phase-invariance        max_error=8.882e-16  tolerance=1.0e-12  PASS
+f-range-and-overlap-roundtrip  max_error=2.220e-16  tolerance=1.0e-12  PASS
+s-four-way-equivalence         max_error=2.665e-15  tolerance=1.0e-12  PASS
+concurrence-equivalence        max_error=6.661e-16  tolerance=1.0e-12  PASS
+s-and-c-range                  max_error=0.000e+00  tolerance=1.0e-12  PASS
+concurrence-roundtrip          max_error=1.110e-16  tolerance=1.0e-12  PASS
+diag-vs-pentagram              max_error=8.944e-16  tolerance=1.0e-10  PASS
+frame-rotation-invariance      max_error=7.022e-16  tolerance=1.0e-10  PASS
+classical-bound-is-minus-3     max_error=0.000e+00  tolerance=0.0e+00  PASS
+classical-bound-vs-oracle      max_error=0.000e+00  tolerance=0.0e+00  PASS
+spectral-containment           max_error=0.000e+00  tolerance=1.0e-12  PASS
+smin-numeric-oracle            max_error=2.154e-08  tolerance=1.0e-06  PASS
+smax-constancy                 max_error=1.884e-08  tolerance=1.0e-06  PASS
+extremal-tightness             max_error=8.882e-16  tolerance=1.0e-10  PASS
+threshold-solves-minus-3       max_error=0.000e+00  tolerance=1.0e-12  PASS
+threshold-vs-bisection         max_error=2.776e-16  tolerance=1.0e-10  PASS
+chsh-endpoints                 max_error=0.000e+00  tolerance=1.0e-12  PASS
+chsh-smin-composition          max_error=1.776e-15  tolerance=1.0e-12  PASS
+chsh-offset-proportionality    max_error=1.497e-12  tolerance=1.0e-10  PASS
+smin-dominance                 max_error=0.000e+00  tolerance=1.0e-10  PASS
+contextual-implies-entangled   max_error=0.000e+00  tolerance=0.0e+00  PASS
+all 23 checks passed
+"""
+
 GENERIC_STATE = ("--theta1", "1.1", "--theta2", "2.3", "--phi1", "0.4", "--phi2", "2.9")
 
 CLASSIFY_GENERIC = """\
@@ -524,6 +552,7 @@ class TestGoldenStdout:
             # One pair; one full chunk of pairs and a chunk of one.
             (("verify", "--samples", "1"), VERIFY_1),
             (("verify", "--samples", "4097"), VERIFY_4097),
+            (("verify", "--samples", "10000"), VERIFY_10000),
             (("eval", *GENERIC_STATE), EVAL_GENERIC),
             (("classify", *GENERIC_STATE), CLASSIFY_GENERIC),
             (("eval", *POLE_STATE), EVAL_POLES),
@@ -538,8 +567,8 @@ class TestGoldenStdout:
                 EXTREMAL_MAX_03,
             ),
         ],
-        ids=["verify", "verify-seed-7", "verify-1", "verify-4097", "eval",
-             "classify", "eval-poles", "extremal-min", "extremal-max"],
+        ids=["verify", "verify-seed-7", "verify-1", "verify-4097", "verify-10000",
+             "eval", "classify", "eval-poles", "extremal-min", "extremal-max"],
     )
     def test_stdout(self, argv, expected, capsys):
         code, out, err = run_cli(*argv, capsys=capsys)

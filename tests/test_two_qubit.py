@@ -6,11 +6,13 @@ shares no code with the qutrit amplitudes of ``msr_to_qutrit``.  Its 2x2
 coefficient matrix M gives the concurrence 2|det M|, and its correlation
 matrix T_ij = <psi|sigma_i (x) sigma_j|psi> the largest CHSH value
 2 sqrt(m1 + m2), m1 and m2 the two largest eigenvalues of T^T T (Horodecki,
-Horodecki and Horodecki, Phys. Lett. A 200, 340 (1995)).
+Horodecki and Horodecki, Phys. Lett. A 200, 340 (1995)).  The isometry V
+from the qutrit into C^4 carries the five-cycle operator K to V K V^T,
+whose expectation in |psi> is S.
 
 Each bound is twice the worst error measured over 2,000 pairs of each of
 the seeds 0-19 and over ``EDGE_ANGLES``, both with the stars in either
-order: 3.5, 10 and 3.5 ulps of 1 for the three tests in turn.
+order: 3.5, 10, 3.5 and 16 ulps of 1 for the four tests in turn.
 """
 
 import math
@@ -18,7 +20,16 @@ import math
 import numpy as np
 import pytest
 
-from kcbs_msr import MsrPair, chsh_max, concurrence_function, msr_to_qutrit, qubit_ket, sample_pairs
+from kcbs_msr import (
+    MsrPair,
+    chsh_max,
+    concurrence_function,
+    kcbs_operator_diagonal,
+    msr_to_qutrit,
+    qubit_ket,
+    s_function,
+    sample_pairs,
+)
 from test_batched import EDGE_ANGLES
 
 EPS = np.finfo(float).eps
@@ -70,3 +81,11 @@ def test_state_is_the_image_of_the_qutrit(pairs, coefficients):
     qutrits = np.array([msr_to_qutrit(p).vector for p in pairs])
     overlap = np.einsum("na,ab,nb->n", coefficients.reshape(-1, 4).conj(), ISOMETRY, qutrits)
     assert np.max(np.abs(np.abs(overlap) - 1)) <= 7 * EPS
+
+
+def test_kcbs_expectation_is_s_function(pairs, coefficients):
+    psi = coefficients.reshape(-1, 4)
+    operator = ISOMETRY @ kcbs_operator_diagonal() @ ISOMETRY.T
+    expectation = np.einsum("na,ab,nb->n", psi.conj(), operator, psi).real
+    s = np.array([s_function(p.star1.theta, p.star2.theta, p.delta_phi) for p in pairs])
+    assert np.max(np.abs(expectation - s)) <= 32 * EPS
