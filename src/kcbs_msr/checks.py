@@ -13,17 +13,19 @@ diagonal operator against the pentagram construction, the linear minimum
 law against a constrained grid search, and the threshold concurrence
 against bisection.
 
-The sampled group draws its angles a chunk at a time and evaluates each
-sine and cosine of a chunk once: the star rows, the swapped and the
-phase-turned rows and x, y, f share them through the trig row functions
-of ``states``, with the same bits as ``_qutrit_rows`` and
-``_overlap_parts``.  Every row set still passes the unit-norm gate.
+The sampled group takes the angles as ``states._sample_chunks`` yields
+them, one ``(thetas, phis)`` chunk at a time, and evaluates each sine and
+cosine of a chunk once: the star rows, the swapped and the phase-turned
+rows and x, y, f share them through the trig row functions of
+``states``.  Each row set has the bits of ``msr_to_qutrit`` of its star
+pairs, the per-pair reference, and passes the unit-norm gate.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -132,9 +134,9 @@ def _chunk_rows(thetas: np.ndarray, phis: np.ndarray) -> tuple:
     """The qutrit rows of one chunk of star angles, of the same stars
     swapped and of both stars turned by ``_PHASE_SHIFT``, and x, y, f.
 
-    Each sine and cosine is evaluated once and shared, and every array
-    equals its ``_qutrit_rows`` or ``_overlap_parts`` of the same angles
-    bit for bit."""
+    Each sine and cosine is evaluated once and shared.  Every row equals
+    :func:`msr_to_qutrit` of its star pair, and x, y, f equal
+    ``_overlap_parts`` of the same angles, bit for bit."""
     t1, t2 = thetas[:, 0], thetas[:, 1]
     p1, p2 = phis[:, 0], phis[:, 1]
     half1, half2 = _cos_sin(0.5 * t1), _cos_sin(0.5 * t2)
@@ -183,17 +185,11 @@ def _chunk_errors(thetas: np.ndarray, phis: np.ndarray) -> tuple[dict, int]:
     return largest, np.count_nonzero(contextual & below)
 
 
-def _check_samples(thetas, phis) -> dict[str, float]:
-    """The sampled checks on the star angles, a chunk at a time.
-
-    ``thetas`` and ``phis`` are two (count, 2) arrays, cut into chunks of
-    ``_CHUNK`` pairs, or two iterators that yield the chunks in step, as
-    :func:`_sample_chunks` draws them.  Each error is a maximum or a sum
-    over the pairs, so the chunking cannot change it."""
-    if isinstance(thetas, np.ndarray):
-        cuts = range(_CHUNK, len(thetas), _CHUNK)
-        thetas, phis = np.split(thetas, cuts), np.split(phis, cuts)
-    errors, violations = zip(*map(_chunk_errors, thetas, phis))
+def _check_samples(chunks) -> dict[str, float]:
+    """The sampled checks on an iterable of ``(thetas, phis)`` chunks of
+    star angles, as :func:`_sample_chunks` yields them.  Each error is a
+    maximum or a sum over the pairs, so the chunking cannot change it."""
+    errors, violations = zip(*itertools.starmap(_chunk_errors, chunks))
     largest = {name: np.max([e[name] for e in errors]) for name in errors[0]}
     return {**largest, "contextual-implies-entangled": float(sum(violations))}
 
@@ -307,15 +303,20 @@ _GROUPS = (
 
 def run_all_checks(samples: int = 1000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run every verification check on ``samples`` seeded random states."""
+    for name, value in (("samples", samples), ("seed", seed)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer: got {value!r}") from None
     if samples < 1:
         raise ValueError(f"samples must be at least 1: got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative: got {seed}")
-    angles = _sample_chunks(samples, seed, _CHUNK)
+    chunks = _sample_chunks(samples, seed, _CHUNK)
     errors = {}
     for group in _GROUPS:
         try:
-            errors.update(group(*angles) if group is _check_samples else group())
+            errors.update(group(chunks) if group is _check_samples else group())
         except Exception as exc:
             print(f"error: {group.__name__} raised {type(exc).__name__}: {exc}",
                   file=sys.stderr)

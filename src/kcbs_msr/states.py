@@ -22,8 +22,11 @@ first two take the sines and cosines of the angles, not the angles, so a
 caller that needs several of them evaluates each sine and cosine once;
 ``_overlap_parts`` and ``_amplitude_terms`` compute that trig from the
 angles.  The public scalar functions (``f_function``, ``msr_to_qutrit``,
-``overlap_angle``) are 1-row calls of them, returning Python numbers.
-The unit-norm gate ``_unit_rows`` runs once on each path: in
+``overlap_angle``) are 1-row calls of them, returning Python numbers, so
+``msr_to_qutrit`` is the per-pair reference of every batch of amplitude
+rows.  Batches come from one sampler, ``_sample_chunks``, which yields one
+``(thetas, phis)`` tuple of (n, 2) arrays per chunk; ``sample_pairs``
+walks it.  The unit-norm gate ``_unit_rows`` runs once on each path: in
 ``_gated_rows`` for a batch of rows, in :class:`Qutrit` for one state.
 """
 
@@ -172,38 +175,30 @@ def _one_row(*values) -> np.ndarray:
     return np.array(values, dtype=float)[:, None]
 
 
-def _sample_angles(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The star angles of :func:`sample_pairs` as two (count, 2) arrays,
-    ``thetas`` and ``phis``: :func:`_sample_chunks` in one chunk."""
-    thetas, phis = _sample_chunks(count, seed, max(count, 1))
-    empty = np.empty((0, 2))
-    return next(thetas, empty), next(phis, empty)
-
-
-def _sample_chunks(count: int, seed: int, size: int) -> tuple[Iterator, Iterator]:
+def _sample_chunks(
+    count: int, seed: int, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The star angles of :func:`sample_pairs`, ``size`` pairs at a time.
 
-    Two iterators, ``thetas`` and ``phis``, yield (n, 2) arrays in step:
-    column 0 is star 1, and n is ``size`` except in the last chunk.  Each
-    phi is normalized into [0, 2*pi) as :class:`BlochAngles` normalizes it.
-    A chunk is drawn when it is asked for, so memory stays flat in
-    ``count``.  The seed's stream holds the 2 * count theta draws, then the
-    2 * count phi draws; the phis come from a second generator advanced past
-    the thetas, so no angle depends on ``size``.
+    Each chunk is a ``(thetas, phis)`` tuple of (n, 2) arrays: column 0 is
+    star 1, and n is ``size`` except in the last chunk; a ``count`` of 0
+    yields no chunk.  Each phi is normalized into [0, 2*pi) as
+    :class:`BlochAngles` normalizes it.  A chunk is drawn when it is asked
+    for, so memory stays flat in ``count``; the seeding and the ``count``
+    check run at the first chunk, not at the call.  The seed's stream holds
+    the 2 * count theta draws, then the 2 * count phi draws; the phis come
+    from a second generator advanced past the thetas, so no angle depends
+    on ``size``.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative: got {count}")
     theta_rng, phi_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     phi_rng.bit_generator.advance(2 * count)
-    sizes = [min(size, count - start) for start in range(0, count, size)]
-
-    def draws(rng, low, high):
-        for n in sizes:
-            yield rng.uniform(low, high, size=(n, 2))
-
-    thetas = map(np.arccos, draws(theta_rng, -1.0, 1.0))
-    phis = (np.remainder(p, _TWO_PI, out=p) for p in draws(phi_rng, 0.0, _TWO_PI))
-    return thetas, phis
+    for start in range(0, count, size):
+        shape = (min(size, count - start), 2)
+        thetas = np.arccos(theta_rng.uniform(-1.0, 1.0, size=shape))
+        phis = phi_rng.uniform(0.0, _TWO_PI, size=shape)
+        yield thetas, np.remainder(phis, _TWO_PI, out=phis)
 
 
 def _cos_sin(angle):
@@ -234,11 +229,6 @@ def _overlap_angles(f) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.acos, f), float, count=len(f))
 
 
-def _norm_squared(f):
-    """N^2 = (f + 3)/4 of overlap values ``f``; floats or numpy arrays."""
-    return (f + 3.0) / 4.0
-
-
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """``rows`` of qutrit amplitudes, each held to the unit-norm gate of
     :class:`Qutrit`: |psi|^2 within ``_NORM_TOL`` of 1, NaN failing."""
@@ -250,16 +240,6 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
             f"qutrit amplitudes are not normalized: |psi|^2 = {norm2[bad][0]}"
         )
     return rows
-
-
-def _qutrit_rows(theta1, phi1, theta2, phi2) -> np.ndarray:
-    """:func:`msr_to_qutrit` over angle arrays: (N, 3) complex amplitude rows,
-    held to the unit-norm gate of :class:`Qutrit`.
-
-    Each phi must already be normalized into [0, 2*pi), as in a
-    :class:`BlochAngles`.
-    """
-    return _gated_rows(*_amplitude_terms(theta1, phi1, theta2, phi2))
 
 
 def _gated_rows(*terms) -> np.ndarray:
@@ -289,7 +269,7 @@ def _amplitude_rows(half1, half2, phase1, phase2, phase_sum, f) -> np.ndarray:
     """
     (c1, s1), (c2, s2) = half1, half2
     (cos1, sin1), (cos2, sin2), (cos_sum, sin_sum) = phase1, phase2, phase_sum
-    norm = np.sqrt(_norm_squared(f))
+    norm = np.sqrt((f + 3.0) / 4.0)
     rows = np.empty((len(c1), 3), dtype=complex)
     rows.real[:, 0] = c1 * c2 / norm
     rows.imag[:, 0] = 0.0
@@ -303,8 +283,8 @@ def _amplitude_rows(half1, half2, phase1, phase2, phase_sum, f) -> np.ndarray:
 def sample_pairs(count: int, seed: int = DEFAULT_SEED) -> list[MsrPair]:
     """Draw ``count`` star pairs uniformly on the sphere (cos(theta) uniform,
     phi uniform), reproducibly from ``seed``."""
-    thetas, phis = _sample_angles(count, seed)
     return [
-        MsrPair.from_angles(thetas[k, 0], phis[k, 0], thetas[k, 1], phis[k, 1])
-        for k in range(count)
+        MsrPair.from_angles(t1, p1, t2, p2)
+        for thetas, phis in _sample_chunks(count, seed, max(count, 1))
+        for (t1, t2), (p1, p2) in zip(thetas, phis)
     ]

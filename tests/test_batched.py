@@ -37,9 +37,9 @@ from kcbs_msr.states import (
     InvalidStateError,
     MsrPair,
     Qutrit,
+    _amplitude_terms,
+    _gated_rows,
     _overlap_parts,
-    _qutrit_rows,
-    _sample_angles,
     _sample_chunks,
     _unit_rows,
     f_function,
@@ -86,10 +86,15 @@ def angles(pairs):
     return thetas, phis
 
 
+def qutrit_rows(pairs):
+    """:func:`msr_to_qutrit` of each pair, stacked: the per-pair reference
+    of every batch of amplitude rows."""
+    return np.array([msr_to_qutrit(p).vector for p in pairs])
+
+
 @pytest.fixture(scope="module")
-def rows(angles):
-    thetas, phis = angles
-    return _qutrit_rows(thetas[:, 0], phis[:, 0], thetas[:, 1], phis[:, 1])
+def rows(pairs):
+    return qutrit_rows(pairs)
 
 
 def bits(values):
@@ -98,9 +103,17 @@ def bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
 
 
+def joined(chunks):
+    """The ``(thetas, phis)`` chunks of :func:`_sample_chunks` joined into
+    two (count, 2) arrays; no chunk gives two empty ones."""
+    empty = np.empty((0, 2))
+    thetas, phis = zip(*chunks, (empty, empty))
+    return np.concatenate(thetas), np.concatenate(phis)
+
+
 @pytest.mark.parametrize("count, seed", [(0, DEFAULT_SEED), (1, 3), (500, 7)])
 def test_sampler_matches_sample_pairs(count, seed):
-    thetas, phis = _sample_angles(count, seed)
+    thetas, phis = joined(_sample_chunks(count, seed, 7))
     pairs = sample_pairs(count, seed)
     assert pairs == [
         MsrPair.from_angles(thetas[k, 0], phis[k, 0], thetas[k, 1], phis[k, 1])
@@ -111,26 +124,34 @@ def test_sampler_matches_sample_pairs(count, seed):
     assert [p.star2.phi for p in pairs] == phis[:, 1].tolist()
 
 
-def test_amplitude_rows(pairs, rows):
-    # msr_to_qutrit is a 1-row call of _qutrit_rows: it must keep every bit
-    # of its row, and no vanishing part prints as -0.
-    single = np.array([msr_to_qutrit(p).vector for p in pairs])
-    assert np.array_equal(bits(single), bits(rows))
+def test_amplitude_rows(angles, rows):
+    # msr_to_qutrit is a 1-row call of the gated amplitude rows: a batch
+    # of them must keep every bit of it, and no vanishing part prints as -0.
+    thetas, phis = angles
+    batch = _gated_rows(*_amplitude_terms(thetas[:, 0], phis[:, 0], thetas[:, 1], phis[:, 1]))
+    assert np.array_equal(bits(batch), bits(rows))
     parts = rows.view(float)
     assert not np.any((parts == 0.0) & np.signbit(parts))
 
 
-def test_shared_trig_rows_match_the_row_functions(angles):
+def test_shared_trig_rows_match_the_row_functions(pairs, angles, rows):
     # _chunk_rows evaluates each sine and cosine once for the stars, the
-    # swapped stars, the turned stars and x, y, f; each array must keep
-    # every bit of its own row function.
+    # swapped stars, the turned stars and x, y, f; each row set must keep
+    # every bit of msr_to_qutrit of its pairs, and x, y, f of _overlap_parts.
     thetas, phis = angles
-    t1, t2, p1, p2 = thetas[:, 0], thetas[:, 1], phis[:, 0], phis[:, 1]
-    turned = (phis + checks._PHASE_SHIFT) % (2.0 * PI)
+    swapped_pairs = [MsrPair(p.star2, p.star1) for p in pairs]
+    turned_pairs = [
+        MsrPair.from_angles(
+            p.star1.theta, p.star1.phi + checks._PHASE_SHIFT,
+            p.star2.theta, p.star2.phi + checks._PHASE_SHIFT,
+        )
+        for p in pairs
+    ]
     v, swapped, w, parts = checks._chunk_rows(thetas, phis)
-    assert np.array_equal(bits(v), bits(_qutrit_rows(t1, p1, t2, p2)))
-    assert np.array_equal(bits(swapped), bits(_qutrit_rows(t2, p2, t1, p1)))
-    assert np.array_equal(bits(w), bits(_qutrit_rows(t1, turned[:, 0], t2, turned[:, 1])))
+    assert np.array_equal(bits(v), bits(rows))
+    assert np.array_equal(bits(swapped), bits(qutrit_rows(swapped_pairs)))
+    assert np.array_equal(bits(w), bits(qutrit_rows(turned_pairs)))
+    t1, t2, p1, p2 = thetas[:, 0], thetas[:, 1], phis[:, 0], phis[:, 1]
     for shared, own in zip(parts, _overlap_parts(t1, t2, p1 - p2), strict=True):
         assert np.array_equal(bits(shared), bits(own))
 
@@ -231,10 +252,11 @@ def walk(pairs):
     return scalar_walk(pairs)
 
 
-@pytest.mark.parametrize("chunk", [checks._CHUNK, 1000, 7])
-def test_sampled_checks_match_the_scalar_walk(angles, walk, chunk, monkeypatch):
-    monkeypatch.setattr(checks, "_CHUNK", chunk)
-    assert _check_samples(*angles) == walk
+@pytest.mark.parametrize("size", [checks._CHUNK, 1000, 7])
+def test_sampled_checks_match_the_scalar_walk(angles, walk, size):
+    thetas, phis = angles
+    cuts = range(size, len(thetas), size)
+    assert _check_samples(zip(np.split(thetas, cuts), np.split(phis, cuts))) == walk
 
 
 @pytest.mark.parametrize("broken", [1.1, math.nan])
@@ -295,8 +317,11 @@ def test_sampled_checks_memory_is_flat_in_the_sample_count():
 def test_chunked_draws_match_the_draws_at_once():
     # The phis come from a second generator advanced past the thetas, so
     # the chunk size cannot move an angle.
-    thetas, phis = _sample_angles(10_007, 3)
+    ((thetas, phis),) = _sample_chunks(10_007, 3, 10_007)
     for size in (checks._CHUNK, 1000, 7):
-        theta_chunks, phi_chunks = _sample_chunks(10_007, 3, size)
-        assert np.array_equal(bits(np.concatenate(list(theta_chunks))), bits(thetas))
-        assert np.array_equal(bits(np.concatenate(list(phi_chunks))), bits(phis))
+        chunks = list(_sample_chunks(10_007, 3, size))
+        assert [len(t) for t, _ in chunks] == [size] * (10_007 // size) + [10_007 % size]
+        chunk_thetas, chunk_phis = joined(chunks)
+        assert np.array_equal(bits(chunk_thetas), bits(thetas))
+        assert np.array_equal(bits(chunk_phis), bits(phis))
+    assert list(_sample_chunks(0, 3, 1)) == []

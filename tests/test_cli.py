@@ -470,6 +470,17 @@ class TestVerify:
         assert out == ""
         assert err == "error: seed must be non-negative: got -1\n"
 
+    @pytest.mark.parametrize("argument", ["samples", "seed"])
+    @pytest.mark.parametrize("value", [1.5, "10", None])
+    def test_non_integer_argument_raises_before_any_group(self, argument, value,
+                                                          capsys):
+        # The sampler draws lazily, inside the sampled group; a bad argument
+        # must raise at the call, not print a FAIL row for each check.
+        with pytest.raises(TypeError) as raised:
+            checks.run_all_checks(**{argument: value})
+        assert str(raised.value) == f"{argument} must be an integer: got {value!r}"
+        assert capsys.readouterr() == ("", "")
+
 
     @pytest.mark.parametrize(
         "route, delta, check",
@@ -511,7 +522,8 @@ class TestVerify:
             rows[0] *= factor
             return original(rows)
 
-        sampled = set(checks._check_samples(*states._sample_angles(20, states.DEFAULT_SEED)))
+        chunks = states._sample_chunks(20, states.DEFAULT_SEED, checks._CHUNK)
+        sampled = set(checks._check_samples(chunks))
         monkeypatch.setattr(states, "_unit_rows", broken)
         code, out, err = run_cli("verify", "--samples", "20", capsys=capsys)
         # The sampled group raises, so its 10 checks fail and the fixed 13 pass.
@@ -528,9 +540,9 @@ class TestVerify:
         # run_all_checks merges the groups' mappings: a name returned by two
         # groups would overwrite the first, and one not in the table would
         # never print.
-        angles = states._sample_angles(20, states.DEFAULT_SEED)
+        chunks = states._sample_chunks(20, states.DEFAULT_SEED, checks._CHUNK)
         returned = [
-            group(*angles) if group is checks._check_samples else group()
+            group(chunks) if group is checks._check_samples else group()
             for group in checks._GROUPS
         ]
         assert all(isinstance(errors, dict) for errors in returned)

@@ -126,3 +126,28 @@ class TestSource:
                         if bound not in read:
                             found.append(f"{path.relative_to(root)}:{node.lineno}: {bound}")
         assert found == []
+
+    def test_no_unused_private_functions(self):
+        # Every private module-level function is read by name (a Name or an
+        # Attribute) somewhere in the package outside its own body; a
+        # docstring mention does not count.
+        root = Path(kcbs_msr.__file__).parent
+        trees = {
+            path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(root.rglob("*.py"))
+        }
+        reads = [
+            (node.id if isinstance(node, ast.Name) else node.attr, id(node))
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        ]
+        found = []
+        for path, tree in trees.items():
+            for func in tree.body:
+                if not isinstance(func, ast.FunctionDef) or not func.name.startswith("_"):
+                    continue
+                own = {id(node) for node in ast.walk(func)}
+                if not any(name == func.name and key not in own for name, key in reads):
+                    found.append(f"{path.relative_to(root)}:{func.lineno}: {func.name}")
+        assert found == []
