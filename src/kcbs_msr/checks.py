@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -64,6 +63,7 @@ from .observables import (
 )
 from .states import (
     DEFAULT_SEED,
+    _as_integer,
     _cos_sin,
     _gated_rows,
     _overlap_angles,
@@ -303,11 +303,7 @@ _GROUPS = (
 
 def run_all_checks(samples: int = 1000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run every verification check on ``samples`` seeded random states."""
-    for name, value in (("samples", samples), ("seed", seed)):
-        try:
-            operator.index(value)
-        except TypeError:
-            raise TypeError(f"{name} must be an integer: got {value!r}") from None
+    samples, seed = _as_integer("samples", samples), _as_integer("seed", seed)
     if samples < 1:
         raise ValueError(f"samples must be at least 1: got {samples}")
     if seed < 0:

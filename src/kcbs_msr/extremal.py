@@ -124,6 +124,26 @@ def _validate_objective(objective: str) -> None:
         raise ValueError(f"objective must be 'minimize' or 'maximize': got {objective!r}")
 
 
+def _sides_in_reach(lo1, hi1, lo2, hi2, upper, lower) -> tuple[bool, bool]:
+    """Whether a cell of the window (lo1, hi1) x (lo2, hi2) may fail, or lie
+    within ``_COS_GUARD`` of, each feasibility bound of
+    :func:`numeric_extremal_search`: (sum side, difference side).
+
+    Over the window t1 + t2 runs in [lo1 + lo2, hi1 + hi2] inside [0, 2 pi],
+    where cos is largest at an end, and t1 - t2 in [lo1 - hi2, hi1 - lo2]
+    inside [-pi, pi], where cos is smallest at the end farthest from 0.  A
+    side is out of reach when its bound lies more than 2 * ``_COS_GUARD``
+    beyond that extreme: the roundings of math.cos, np.cos and the product
+    form, each a few ulp of 1, leave every cell more than ``_COS_GUARD``
+    inside the bound, so the side's test passes every cell and puts none in
+    the band.  An infinite guard puts every side in reach.
+    """
+    margin = 2.0 * _COS_GUARD
+    sum_top = max(math.cos(lo1 + lo2), math.cos(hi1 + hi2))
+    diff_bottom = math.cos(max(abs(lo1 - hi2), abs(hi1 - lo2)))
+    return sum_top >= upper - margin, diff_bottom <= lower + margin
+
+
 def numeric_extremal_search(
     c: float,
     objective: Objective = "minimize",
@@ -156,7 +176,13 @@ def numeric_extremal_search(
     farther than ``_COS_GUARD`` (1e-13) from their bounds.  A cell inside
     that band that passes the test on S below is re-decided with
     np.cos(theta1 +/- theta2), so every cell gets the decision np.cos would
-    give it.
+    give it.  A side whose bound lies more than 2 * ``_COS_GUARD`` beyond
+    every cell of the stage's window (:func:`_sides_in_reach`) passes every
+    cell and puts none in the band, so the stage skips its test: its pass
+    of P - Q or P + Q, its two compares and its and/or.  A minimum's refine
+    windows sit on the difference bound (delta_phi = 0) and a maximum's on
+    the sum bound (delta_phi = pi), so each skips the side it is not on.
+    Cells in the band still get both np.cos tests.
 
     A stage picks no cell whose S is worse than the best found so far (the
     first stage has no best, so every feasible cell counts).  The result is
@@ -208,21 +234,24 @@ def numeric_extremal_search(
         ax2 = lo2 + centers * (hi2 - lo2) / grid_n
         p = np.einsum("i,j->ij", np.cos(ax1), np.cos(ax2), out=p_work)
         q = np.einsum("i,j->ij", np.sin(ax1), np.sin(ax2), out=q_work)
-        # keep: the product form may pass; band: it is within the guard of a bound.
-        cos_sum = np.subtract(p, q, out=sum_work)
-        np.less_equal(cos_sum, upper + _COS_GUARD, out=keep)
-        np.greater_equal(cos_sum, upper - _COS_GUARD, out=band)
-        cos_diff = np.add(p, q, out=q_work)
-        np.greater_equal(cos_diff, lower - _COS_GUARD, out=test)
-        np.logical_and(keep, test, out=keep)
-        np.less_equal(cos_diff, lower + _COS_GUARD, out=test)
-        np.logical_or(band, test, out=band)
-        # S perhaps no worse than the bound, on P: S rises with P.
-        no_worse(p, (bound - s_const) / s_coef - 1.0 + widen, out=test)
-        np.logical_and(keep, test, out=keep)
-        np.logical_and(band, keep, out=band)
-        if band.any():
-            i, j = np.nonzero(band)
+        # keep: S perhaps no worse than the bound, on P (S rises with P), and
+        # the product form may pass; near: it lies within the guard of a bound.
+        no_worse(p, (bound - s_const) / s_coef - 1.0 + widen, out=keep)
+        near = None
+        sum_in_reach, diff_in_reach = _sides_in_reach(lo1, hi1, lo2, hi2, upper, lower)
+        if sum_in_reach:
+            cos_sum = np.subtract(p, q, out=sum_work)
+            np.less_equal(cos_sum, upper + _COS_GUARD, out=test)
+            np.logical_and(keep, test, out=keep)
+            near = np.greater_equal(cos_sum, upper - _COS_GUARD, out=band)
+        if diff_in_reach:
+            cos_diff = np.add(p, q, out=q_work)
+            np.greater_equal(cos_diff, lower - _COS_GUARD, out=test)
+            np.logical_and(keep, test, out=keep)
+            np.less_equal(cos_diff, lower + _COS_GUARD, out=test)
+            near = test if near is None else np.logical_or(near, test, out=near)
+        if near is not None and np.logical_and(near, keep, out=near).any():
+            i, j = np.nonzero(near)
             t1, t2 = ax1[i], ax2[j]
             keep[i, j] = (np.cos(t1 + t2) <= upper) & (np.cos(t1 - t2) >= lower)
         cells = np.flatnonzero(keep)

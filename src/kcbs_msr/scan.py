@@ -46,7 +46,6 @@ from __future__ import annotations
 import errno
 import json
 import math
-import operator
 import os
 import shutil
 import sys
@@ -58,6 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import _LABELS, _evaluate
+from .states import _as_integer
 
 __all__ = [
     "ScanConfig",
@@ -83,10 +83,7 @@ class ScanConfig:
     output_format: str = "csv"
 
     def __post_init__(self) -> None:
-        try:
-            operator.index(self.resolution)
-        except TypeError:
-            raise TypeError(f"resolution must be an integer: got {self.resolution!r}") from None
+        _as_integer("resolution", self.resolution)
         if self.resolution < 2:
             raise ValueError(f"resolution must be at least 2: got {self.resolution}")
         if self.output_format not in OUTPUT_FORMATS:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -175,6 +176,17 @@ def _one_row(*values) -> np.ndarray:
     return np.array(values, dtype=float)[:, None]
 
 
+def _as_integer(name: str, value) -> int:
+    """``value`` as an int by ``operator.index``, or ``TypeError: <name> must
+    be an integer: got <value!r>``: the integer check of ``sample_pairs``,
+    ``run_all_checks`` and ``ScanConfig``.  The int also serves numpy's
+    ``advance``, which overflows on a numpy integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer: got {value!r}") from None
+
+
 def _sample_chunks(
     count: int, seed: int, size: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -283,6 +295,7 @@ def _amplitude_rows(half1, half2, phase1, phase2, phase_sum, f) -> np.ndarray:
 def sample_pairs(count: int, seed: int = DEFAULT_SEED) -> list[MsrPair]:
     """Draw ``count`` star pairs uniformly on the sphere (cos(theta) uniform,
     phi uniform), reproducibly from ``seed``."""
+    count, seed = _as_integer("count", count), _as_integer("seed", seed)
     return [
         MsrPair.from_angles(t1, p1, t2, p2)
         for thetas, phis in _sample_chunks(count, seed, max(count, 1))

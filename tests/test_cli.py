@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kcbs_msr
@@ -479,6 +480,11 @@ class TestVerify:
         with pytest.raises(TypeError) as raised:
             checks.run_all_checks(**{argument: value})
         assert str(raised.value) == f"{argument} must be an integer: got {value!r}"
+        assert capsys.readouterr() == ("", "")
+
+    def test_numpy_integer_arguments(self, capsys):
+        # numpy's advance overflows on a numpy integer count.
+        assert checks.run_all_checks(np.int64(20), np.int64(3)) == checks.run_all_checks(20, 3)
         assert capsys.readouterr() == ("", "")
 
 

@@ -6,17 +6,20 @@ the diagonal form of the cyclic operator is proved rather than sampled, and
 the float construction is measured against it.  From the star amplitudes
 it also proves the minimum law S >= S_min(C) as identities: S depends on
 the state only through the m = 0 weight, and the gap S - S_min(C) is a
-positive multiple of a sum of squares.
+positive multiple of a sum of squares, and mpmath at 50 digits measures that
+sum of squares in float near the minimum's zero set.
 """
 
+import math
 from functools import cache
 
 import numpy as np
 import pytest
 
-from kcbs_msr import kcbs_operator_from_frame, pentagram_vectors
+from kcbs_msr import f_function, kcbs_operator_from_frame, pentagram_vectors
 
 sp = pytest.importorskip("sympy")
+mpmath = pytest.importorskip("mpmath")
 
 SQRT5 = sp.sqrt(5)
 EXACT_DIAGONAL = sp.diag(2 * SQRT5 - 5, 5 - 4 * SQRT5, 2 * SQRT5 - 5)
@@ -131,3 +134,42 @@ class TestMinimumLaw:
     def test_one_minus_x_plus_y_is_a_sum_of_squares(self):
         squares = 2 * sp.cos((T1 + T2) / 2) ** 2 + 2 * sp.sin(T1) * sp.sin(T2) * sp.sin(DPHI / 2) ** 2
         assert sp.simplify(1 - X + Y - squares) == 0
+
+
+def near_extremal_pairs(count, seed):
+    """(t1, t2, delta_phi) with t1 + t2 - pi and delta_phi in +/-[1e-9, 1e-3],
+    log-uniform in magnitude: near the minimum's zero set of the gap."""
+    rng = np.random.default_rng(seed)
+    t1 = rng.uniform(1e-3, np.pi - 1e-3, count)
+    off_sum, dphi = rng.choice([-1.0, 1.0], (2, count)) * 10.0 ** rng.uniform(-9, -3, (2, count))
+    return list(zip(t1.tolist(), (np.pi - t1 + off_sum).tolist(), dphi.tolist()))
+
+
+class TestSumOfSquaresGap:
+    def test_float_sum_of_squares_against_50_digits(self):
+        # The gap S - S_min(C) in float as (6 sqrt5 - 10)(1 - x + y)/(3 + f),
+        # with 1 - x + y as its sum of squares, against S - S_min(C) from the
+        # definitions at 50 digits.  Its error comes from the rounding of
+        # t1 + t2: half an ulp of pi over |t1 + t2 - pi| >= 1e-9, squared, is
+        # about 4.4e-7.  The worst measured is 3.1e-7 here and 3.7e-7 over
+        # seeds 0-7, where the float S - S_min(C) has relative errors of
+        # 150-490 and is negative on 7-16 of the 2,000 pairs.
+        mp = mpmath.mp
+        coef = 6.0 * math.sqrt(5.0) - 10.0
+        worst = 0.0
+        with mpmath.workdps(50):
+            root5 = mp.sqrt(5)
+            top, bottom = 2 * root5 - 5, 5 - 4 * root5
+            for t1, t2, dphi in near_extremal_pairs(2000, 2026):
+                squares = 2.0 * math.cos((t1 + t2) / 2.0) ** 2 + (
+                    2.0 * math.sin(t1) * math.sin(t2) * math.sin(dphi / 2.0) ** 2
+                )
+                gap = coef * squares / (3.0 + f_function(t1, t2, dphi))
+                assert gap >= 0.0
+                a, b, d = mp.mpf(t1), mp.mpf(t2), mp.mpf(dphi)
+                x, y = mp.sin(a) * mp.sin(b) * mp.cos(d), mp.cos(a) * mp.cos(b)
+                s = top + (bottom - top) * (1 - 2 * (1 + y) / (3 + x + y))
+                c = (1 - x - y) / (3 + x + y)
+                exact = s - ((5 - 3 * root5) * c - root5)
+                worst = max(worst, float(abs(gap - exact) / exact))
+        assert worst <= 4.5e-7

@@ -21,7 +21,7 @@ from kcbs_msr import (
     sample_pairs,
 )
 from kcbs_msr import extremal
-from kcbs_msr.checks import _C_GRID
+from kcbs_msr.checks import _C_GRID, _check_extremal_oracle
 from kcbs_msr.extremal import (
     _FEASIBILITY_SLACK,
     ExtremalResult,
@@ -298,6 +298,116 @@ class TestCosGuard:
                 np.max(np.abs((p + q) - np.cos(ax1 - ax2))),
             )
         assert worst < extremal._COS_GUARD / 100
+
+
+def guard_windows(grid_n=128):
+    """The windows of ``test_product_form_error_is_far_inside_the_guard``:
+    the first stage's and 400 seeded refine windows of every size."""
+    rng = np.random.default_rng(7)
+    windows = [(0.0, math.pi, 0.0, math.pi)]
+    for k in range(400):
+        t1, t2 = rng.uniform(0.0, math.pi, 2)
+        half = math.pi / grid_n * 0.25 ** (k % 8)
+        windows.append(
+            (max(0.0, t1 - half), min(math.pi, t1 + half), max(0.0, t2 - half), min(math.pi, t2 + half))
+        )
+    return windows
+
+
+class SideCounter:
+    """numpy as ``extremal`` sees it, recording which feasibility sides each
+    stage tests: a stage starts with two np.einsum calls, and tests the sum
+    side with np.subtract and the difference side with np.add."""
+
+    def __init__(self):
+        self.einsums = 0
+        self.stages = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, *args, **kwargs):
+        self.einsums += 1
+        if self.einsums % 2:
+            self.stages.append("")
+        return np.einsum(*args, **kwargs)
+
+    def subtract(self, *args, **kwargs):
+        self.stages[-1] += "s"
+        return np.subtract(*args, **kwargs)
+
+    def add(self, *args, **kwargs):
+        self.stages[-1] += "d"
+        return np.add(*args, **kwargs)
+
+
+class TestSidesInReach:
+    """A stage skips the feasibility side whose bound lies more than
+    2 * ``_COS_GUARD`` beyond every cell of its window."""
+
+    def test_skipped_side_is_far_inside_its_bound(self, monkeypatch):
+        # The bounds of each c, and per window bounds up to three guards
+        # beyond the extreme of cos(t1 +/- t2) at its ends, where the rule
+        # is tightest.  Besides the seeded windows, the oracle's 198: 14 put
+        # a cell within 1e-13 of the sum's extreme and 14 of the
+        # difference's, since they sit where that cos is flat.
+        rule, oracle_windows = extremal._sides_in_reach, []
+
+        def spy(lo1, hi1, lo2, hi2, upper, lower):
+            oracle_windows.append((lo1, hi1, lo2, hi2))
+            return rule(lo1, hi1, lo2, hi2, upper, lower)
+
+        monkeypatch.setattr(extremal, "_sides_in_reach", spy)
+        _check_extremal_oracle()
+        monkeypatch.undo()
+        grid_n = 128
+        centers = np.arange(grid_n) + 0.5
+        guard = extremal._COS_GUARD
+        c_bounds = [
+            (f + _FEASIBILITY_SLACK, f - _FEASIBILITY_SLACK)
+            for f in map(f_from_concurrence, _C_GRID + EDGE_C + BAND_C)
+        ]
+        skipped = {"c": 0, "margin": 0}
+        windows = guard_windows(grid_n) + oracle_windows
+        for lo1, hi1, lo2, hi2 in windows:
+            ax1 = (lo1 + centers * (hi1 - lo1) / grid_n)[:, None]
+            ax2 = lo2 + centers * (hi2 - lo2) / grid_n
+            p = np.cos(ax1) * np.cos(ax2)
+            q = np.sin(ax1) * np.sin(ax2)
+            sum_top = max(math.cos(lo1 + lo2), math.cos(hi1 + hi2))
+            diff_bottom = math.cos(max(abs(lo1 - hi2), abs(hi1 - lo2)))
+            margin_bounds = [
+                (
+                    math.nextafter(sum_top + k * guard, math.inf),
+                    math.nextafter(diff_bottom - k * guard, -math.inf),
+                )
+                for k in (0.5, 1.0, 2.0, 3.0)
+            ]
+            for kind, bounds in (("c", c_bounds), ("margin", margin_bounds)):
+                for upper, lower in bounds:
+                    sum_in_reach, diff_in_reach = extremal._sides_in_reach(
+                        lo1, hi1, lo2, hi2, upper, lower
+                    )
+                    if not sum_in_reach:
+                        assert np.all(np.cos(ax1 + ax2) < upper - guard)
+                        assert np.all(p - q < upper - guard)
+                    if not diff_in_reach:
+                        assert np.all(np.cos(ax1 - ax2) > lower + guard)
+                        assert np.all(p + q > lower + guard)
+                    skipped[kind] += (not sum_in_reach) + (not diff_in_reach)
+        assert skipped["c"] > len(windows) and skipped["margin"] > len(windows), skipped
+
+    def test_every_oracle_refine_stage_skips_one_side(self, monkeypatch):
+        # A minimum's window sits on the difference bound (delta_phi = 0), a
+        # maximum's on the sum bound (delta_phi = pi): the gain of skipping.
+        counter = SideCounter()
+        monkeypatch.setattr(extremal, "np", counter)
+        errors = _check_extremal_oracle()
+        stages = 1 + 8  # numeric_extremal_search's default refine_iters
+        assert len(counter.stages) == 2 * len(_C_GRID) * stages
+        refines = [sides for k, sides in enumerate(counter.stages) if k % stages]
+        assert all(sides in ("s", "d") for sides in refines), refines
+        assert max(errors.values()) <= 1e-6
 
 
 def s_of_p(p, coef, const):

@@ -162,3 +162,13 @@ class TestSamplePairs:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             sample_pairs(-1)
+
+    @pytest.mark.parametrize("argument", ["count", "seed"])
+    @pytest.mark.parametrize("value", [1.5, "10", None])
+    def test_non_integer_argument_is_named(self, argument, value):
+        with pytest.raises(TypeError) as raised:
+            sample_pairs(**{"count": 2, "seed": 0, argument: value})
+        assert str(raised.value) == f"{argument} must be an integer: got {value!r}"
+
+    def test_accepts_numpy_integers(self):
+        assert sample_pairs(np.int64(3), seed=np.int64(7)) == sample_pairs(3, seed=7)
