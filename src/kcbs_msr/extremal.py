@@ -48,9 +48,11 @@ LOCAL_BOUND = -SQRT5
 _FEASIBILITY_SLACK = 1e-12
 
 # Half-width of the band around a feasibility bound in which the search
-# re-decides a cell with np.cos: cos a cos b -/+ sin a sin b differs from
-# np.cos(a +/- b) by at most 6.7e-16 (3 ulp of 1) over the first stage and
-# 400 seeded refine windows, 150 times less than the guard.
+# re-decides a cell with np.cos: cos a cos b -/+ sin a sin b as the matmul of
+# _trig_grids forms it differs from np.cos(a +/- b) by at most 6.7e-16 (3 ulp
+# of 1) over the first stage and 400 seeded refine windows, with OpenBLAS's
+# fused multiply-add kernel (SkylakeX) and without one (Prescott), 150 times
+# less than the guard.
 _COS_GUARD = 1e-13
 
 # Width by which the search widens the plain inverse of S = (P + 1.0) * coef
@@ -144,6 +146,38 @@ def _sides_in_reach(lo1, hi1, lo2, hi2, upper, lower) -> tuple[bool, bool]:
     return sum_top >= upper - margin, diff_bottom <= lower + margin
 
 
+def _trig_grids(grid_n: int):
+    """The grids of a stage of :func:`numeric_extremal_search`, from one matmul.
+
+    Returns ``grids(ax1, ax2, sum_side, diff_side)``, which gives the
+    (grid_n, grid_n) views (cos(t1 + t2), P, cos(t1 - t2)) over the axes,
+    None for a side not asked for; each call overwrites the last one's.
+    The column-major left operand holds three row blocks, [cos t1, -sin t1],
+    [cos t1, 0] and [cos t1, sin t1], and the right one [cos t2; sin t2], so
+    their product is cos t1 cos t2 -/+ sin t1 sin t2 in the outer blocks and
+    P = cos t1 cos t2 in the middle one.  A call multiplies only the blocks
+    asked for, which lie together around the middle one.  The zero column
+    makes each P the one rounding of cos t1 cos t2 (a product of -0.0 may
+    come out +0.0); the sides may round as a fused multiply-add.
+    """
+    lhs = np.zeros((3 * grid_n, 2), order="F")
+    cos1, sin1 = lhs[:, 0].reshape(3, grid_n), lhs[:, 1].reshape(3, grid_n)
+    rhs = np.empty((2, grid_n))
+    out = np.empty((3, grid_n, grid_n))
+
+    def grids(ax1, ax2, sum_side, diff_side):
+        np.copyto(cos1, np.cos(ax1))
+        np.negative(np.sin(ax1, out=sin1[2]), out=sin1[0])
+        np.cos(ax2, out=rhs[0])
+        np.sin(ax2, out=rhs[1])
+        first, stop = (0 if sum_side else 1), (3 if diff_side else 2)
+        rows = slice(first * grid_n, stop * grid_n)
+        np.matmul(lhs[rows], rhs, out=out[first:stop].reshape(-1, grid_n))
+        return (out[0] if sum_side else None, out[1], out[2] if diff_side else None)
+
+    return grids
+
+
 def numeric_extremal_search(
     c: float,
     objective: Objective = "minimize",
@@ -165,24 +199,26 @@ def numeric_extremal_search(
     cos(theta1 + theta2) <= f <= cos(theta1 - theta2), each side with a
     slack of 1e-12.
 
-    A stage takes cos(theta1 +/- theta2) from the outer products
-    P = cos(theta1) cos(theta2), which S needs anyway, and
-    Q = sin(theta1) sin(theta2) as P - Q and P + Q, so it calls np.cos and
-    np.sin on its two axes of grid_n values, not on its cells.  It forms P
-    and Q with np.einsum, about twice as fast as a broadcast multiply;
-    einsum writes a product of -0.0 as +0.0, which neither a comparison nor
-    S can tell apart.  The sums differ from np.cos(theta1 +/- theta2) by a
-    few ulp, so the product form decides a cell only where both sums lie
-    farther than ``_COS_GUARD`` (1e-13) from their bounds.  A cell inside
-    that band that passes the test on S below is re-decided with
-    np.cos(theta1 +/- theta2), so every cell gets the decision np.cos would
-    give it.  A side whose bound lies more than 2 * ``_COS_GUARD`` beyond
-    every cell of the stage's window (:func:`_sides_in_reach`) passes every
-    cell and puts none in the band, so the stage skips its test: its pass
-    of P - Q or P + Q, its two compares and its and/or.  A minimum's refine
-    windows sit on the difference bound (delta_phi = 0) and a maximum's on
-    the sum bound (delta_phi = pi), so each skips the side it is not on.
-    Cells in the band still get both np.cos tests.
+    A stage forms P = cos(theta1) cos(theta2), which S needs anyway, and
+    cos(theta1 -/+ theta2) = P +/- sin(theta1) sin(theta2) in one BLAS
+    matrix product of rank 2 (:func:`_trig_grids`), so it calls np.cos and
+    np.sin on its two axes of grid_n values, not on its cells, and makes no
+    other pass to build its grids.  Each P is the one rounding of its
+    product, as an outer product rounds it; a product of -0.0 may come out
+    +0.0, which neither a comparison nor S can tell apart.  The sides differ
+    from np.cos(theta1 +/- theta2) by a few ulp, which depend on whether the
+    BLAS kernel fuses the multiply-add, so the product form decides a cell
+    only where both sides lie farther than ``_COS_GUARD`` (1e-13) from their
+    bounds.  A cell inside that band that passes the test on S below is
+    re-decided with np.cos(theta1 +/- theta2), so every cell gets the
+    decision np.cos would give it, whatever the kernel.  A side whose bound
+    lies more than 2 * ``_COS_GUARD`` beyond every cell of the stage's
+    window (:func:`_sides_in_reach`) passes every cell and puts none in the
+    band, so the stage skips it: its block of the product, its two compares
+    and its and/or.  A minimum's refine windows sit on the difference bound
+    (delta_phi = 0) and a maximum's on the sum bound (delta_phi = pi), so
+    each skips the side it is not on.  Cells in the band still get both
+    np.cos tests.
 
     A stage picks no cell whose S is worse than the best found so far (the
     first stage has no best, so every feasible cell counts).  The result is
@@ -222,9 +258,7 @@ def numeric_extremal_search(
 
     # Work arrays shared by the stages: a stage allocates no grid-sized temporary.
     centers = np.arange(grid_n) + 0.5
-    sum_work = np.empty((grid_n, grid_n))
-    p_work = np.empty((grid_n, grid_n))
-    q_work = np.empty((grid_n, grid_n))
+    grids = _trig_grids(grid_n)
     keep = np.empty((grid_n, grid_n), dtype=bool)
     band = np.empty((grid_n, grid_n), dtype=bool)
     test = np.empty((grid_n, grid_n), dtype=bool)
@@ -232,20 +266,17 @@ def numeric_extremal_search(
     def stage(lo1, hi1, lo2, hi2, bound):
         ax1 = lo1 + centers * (hi1 - lo1) / grid_n
         ax2 = lo2 + centers * (hi2 - lo2) / grid_n
-        p = np.einsum("i,j->ij", np.cos(ax1), np.cos(ax2), out=p_work)
-        q = np.einsum("i,j->ij", np.sin(ax1), np.sin(ax2), out=q_work)
+        sum_in_reach, diff_in_reach = _sides_in_reach(lo1, hi1, lo2, hi2, upper, lower)
+        cos_sum, p, cos_diff = grids(ax1, ax2, sum_in_reach, diff_in_reach)
         # keep: S perhaps no worse than the bound, on P (S rises with P), and
         # the product form may pass; near: it lies within the guard of a bound.
         no_worse(p, (bound - s_const) / s_coef - 1.0 + widen, out=keep)
         near = None
-        sum_in_reach, diff_in_reach = _sides_in_reach(lo1, hi1, lo2, hi2, upper, lower)
         if sum_in_reach:
-            cos_sum = np.subtract(p, q, out=sum_work)
             np.less_equal(cos_sum, upper + _COS_GUARD, out=test)
             np.logical_and(keep, test, out=keep)
             near = np.greater_equal(cos_sum, upper - _COS_GUARD, out=band)
         if diff_in_reach:
-            cos_diff = np.add(p, q, out=q_work)
             np.greater_equal(cos_diff, lower - _COS_GUARD, out=test)
             np.logical_and(keep, test, out=keep)
             np.less_equal(cos_diff, lower + _COS_GUARD, out=test)

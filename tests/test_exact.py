@@ -10,13 +10,17 @@ positive multiple of a sum of squares, and mpmath at 50 digits measures that
 sum of squares in float near the minimum's zero set.
 """
 
+import ast
+import inspect
 import math
+import textwrap
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from kcbs_msr import f_function, kcbs_operator_from_frame, pentagram_vectors
+from kcbs_msr import f_function, kcbs_operator_from_frame, measures, observables, pentagram_vectors
 
 sp = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
@@ -97,17 +101,48 @@ X = sp.sin(T1) * sp.sin(T2) * sp.cos(DPHI)
 Y = sp.cos(T1) * sp.cos(T2)
 
 
-def exact_weights():
-    """|a1|^2, |b|^2 and |a2|^2 of the amplitudes in the ``states``
-    docstring, with N^2 = (f + 3)/4."""
-    c1, s1, c2, s2 = sp.cos(U1), sp.sin(U1), sp.cos(U2), sp.sin(U2)
-    scaled = [
+HALVES = sp.cos(U1), sp.sin(U1), sp.cos(U2), sp.sin(U2)
+# N^2 of the amplitudes in the ``states`` docstring: (f + 3)/4.
+NORM2 = (X + Y + 3) / 4
+
+
+def scaled_amplitudes():
+    """N (a1, b, a2) of the amplitudes in the ``states`` docstring."""
+    c1, s1, c2, s2 = HALVES
+    return [
         c1 * c2,
         (sp.exp(sp.I * P1) * s1 * c2 + sp.exp(sp.I * P2) * c1 * s2) / sp.sqrt(2),
         sp.exp(sp.I * (P1 + P2)) * s1 * s2,
     ]
-    norm2 = (X + Y + 3) / 4
-    return [sp.expand(a * sp.conjugate(a)).rewrite(sp.cos) / norm2 for a in scaled]
+
+
+def exact_weights():
+    """|a1|^2, |b|^2 and |a2|^2 of the amplitudes in the ``states`` docstring."""
+    return [sp.expand(a * sp.conjugate(a)).rewrite(sp.cos) / NORM2 for a in scaled_amplitudes()]
+
+
+def exact_code(node, **names):
+    """The expression ``node`` of the package's source in sympy, each float
+    literal read as the exact rational it is written as, with ``names``
+    bound."""
+    return sp.sympify(ast.unparse(node), locals=names, rational=True)
+
+
+def returned_expression(function, **names):
+    """The one returned expression of ``function``, by :func:`exact_code`."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    (returned,) = [node for node in ast.walk(tree) if isinstance(node, ast.Return)]
+    return exact_code(returned.value, **names)
+
+
+def module_constant(module, name, **names):
+    """The value assigned to ``name`` at the top of ``module``, by :func:`exact_code`."""
+    tree = ast.parse(inspect.getsource(module))
+    (value,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]
+    ]
+    return exact_code(value, **names)
 
 
 class TestMinimumLaw:
@@ -134,6 +169,38 @@ class TestMinimumLaw:
     def test_one_minus_x_plus_y_is_a_sum_of_squares(self):
         squares = 2 * sp.cos((T1 + T2) / 2) ** 2 + 2 * sp.sin(T1) * sp.sin(T2) * sp.sin(DPHI / 2) ** 2
         assert sp.simplify(1 - X + Y - squares) == 0
+
+
+class TestCodeConstants:
+    """The closed forms as the package writes them, literals and all."""
+
+    def test_s_of_overlap_is_the_middle_weight_form(self):
+        # measures.s_of_overlap equals SPECTRUM_MAX + (SPECTRUM_MIN -
+        # SPECTRUM_MAX) p0, with p0 = 1 - 2(1 + y)/(3 + f) and both
+        # constants read from observables.
+        root5 = module_constant(observables, "SQRT5", math=SimpleNamespace(sqrt=sp.sqrt))
+        assert root5 == SQRT5
+        top = module_constant(observables, "SPECTRUM_MAX", SQRT5=root5)
+        bottom = module_constant(observables, "SPECTRUM_MIN", SQRT5=root5)
+        assert (top, bottom) == (EXACT_DIAGONAL[0, 0], EXACT_DIAGONAL[1, 1])
+        f, y = sp.symbols("f y", real=True)
+        s = returned_expression(measures.s_of_overlap, f=f, y=y, SQRT5=root5)
+        p0 = 1 - 2 * (1 + y) / (3 + f)
+        assert sp.simplify(s - (top + (bottom - top) * p0)) == 0
+
+    def test_concurrence_of_overlap_is_twice_the_determinant(self):
+        # N^2 (a1 a2 - b^2/2) = -e^{i(p1 + p2)} w^2 / 4 with |w|^2 = (1 - f)/2,
+        # so 2|a1 a2 - b^2/2| = (1 - f)/(4 N^2) = (1 - f)/(3 + f), the form of
+        # measures.concurrence_of_overlap.
+        a1, b, a2 = scaled_amplitudes()
+        c1, s1, c2, s2 = HALVES
+        w = sp.exp(sp.I * DPHI / 2) * s1 * c2 - sp.exp(-sp.I * DPHI / 2) * c1 * s2
+        assert sp.expand(a1 * a2 - b**2 / 2 + sp.exp(sp.I * (P1 + P2)) * w**2 / 4) == 0
+        modulus2 = sp.expand(w * sp.conjugate(w)).rewrite(sp.cos)
+        assert sp.simplify(modulus2 - (1 - X - Y) / 2) == 0
+        f = sp.Symbol("f", real=True)
+        c = returned_expression(measures.concurrence_of_overlap, f=f).subs(f, X + Y)
+        assert sp.simplify(c - 2 * (modulus2 / 4) / NORM2) == 0
 
 
 def near_extremal_pairs(count, seed):

@@ -1,6 +1,13 @@
 """Tests for the extremal values of S at fixed concurrence and the CHSH link."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import astuple
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,34 +282,28 @@ class TestCosGuard:
         assert [numeric_extremal_search(c, objective) for c in cs] == expected
 
     def test_product_form_error_is_far_inside_the_guard(self):
-        # The first stage's window and seeded refine windows of every size.
+        # The one matmul of _trig_grids, as the search forms it, over the
+        # first stage's window and seeded refine windows of every size; its
+        # P block is the outer product einsum writes.
         grid_n = 128
         centers = np.arange(grid_n) + 0.5
-        rng = np.random.default_rng(7)
-        windows = [(0.0, math.pi, 0.0, math.pi)]
-        for k in range(400):
-            t1, t2 = rng.uniform(0.0, math.pi, 2)
-            half = math.pi / grid_n * 0.25 ** (k % 8)
-            windows.append(
-                (max(0.0, t1 - half), min(math.pi, t1 + half), max(0.0, t2 - half), min(math.pi, t2 + half))
-            )
+        grids = extremal._trig_grids(grid_n)
         worst = 0.0
-        for lo1, hi1, lo2, hi2 in windows:
-            ax1 = (lo1 + centers * (hi1 - lo1) / grid_n)[:, None]
+        for lo1, hi1, lo2, hi2 in guard_windows(grid_n):
+            ax1 = lo1 + centers * (hi1 - lo1) / grid_n
             ax2 = lo2 + centers * (hi2 - lo2) / grid_n
-            p = np.cos(ax1) * np.cos(ax2)
-            q = np.sin(ax1) * np.sin(ax2)
+            cos_sum, p, cos_diff = grids(ax1, ax2, True, True)
+            assert np.array_equal(p, np.einsum("i,j->ij", np.cos(ax1), np.cos(ax2)))
             worst = max(
                 worst,
-                np.max(np.abs((p - q) - np.cos(ax1 + ax2))),
-                np.max(np.abs((p + q) - np.cos(ax1 - ax2))),
+                np.max(np.abs(cos_sum - np.cos(ax1[:, None] + ax2))),
+                np.max(np.abs(cos_diff - np.cos(ax1[:, None] - ax2))),
             )
         assert worst < extremal._COS_GUARD / 100
 
 
 def guard_windows(grid_n=128):
-    """The windows of ``test_product_form_error_is_far_inside_the_guard``:
-    the first stage's and 400 seeded refine windows of every size."""
+    """The first stage's window and 400 seeded refine windows of every size."""
     rng = np.random.default_rng(7)
     windows = [(0.0, math.pi, 0.0, math.pi)]
     for k in range(400):
@@ -315,30 +316,25 @@ def guard_windows(grid_n=128):
 
 
 class SideCounter:
-    """numpy as ``extremal`` sees it, recording which feasibility sides each
-    stage tests: a stage starts with two np.einsum calls, and tests the sum
-    side with np.subtract and the difference side with np.add."""
+    """numpy as ``extremal`` sees it, recording each stage's one np.matmul:
+    its row count and the feasibility sides it forms.  Each grid_n-row block
+    of the left operand is named by the sign of its sin t1 column, which is
+    positive at every cell center: - the sum side, 0 P, + the difference
+    side."""
 
     def __init__(self):
-        self.einsums = 0
+        self.rows = []
         self.stages = []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def einsum(self, *args, **kwargs):
-        self.einsums += 1
-        if self.einsums % 2:
-            self.stages.append("")
-        return np.einsum(*args, **kwargs)
-
-    def subtract(self, *args, **kwargs):
-        self.stages[-1] += "s"
-        return np.subtract(*args, **kwargs)
-
-    def add(self, *args, **kwargs):
-        self.stages[-1] += "d"
-        return np.add(*args, **kwargs)
+    def matmul(self, lhs, rhs, **kwargs):
+        grid_n = rhs.shape[1]
+        self.rows.append(lhs.shape[0])
+        signs = np.sign(lhs[::grid_n, 1])
+        self.stages.append("".join("s" if sign < 0 else "d" for sign in signs if sign))
+        return np.matmul(lhs, rhs, **kwargs)
 
 
 class TestSidesInReach:
@@ -363,6 +359,7 @@ class TestSidesInReach:
         grid_n = 128
         centers = np.arange(grid_n) + 0.5
         guard = extremal._COS_GUARD
+        grids = extremal._trig_grids(grid_n)
         c_bounds = [
             (f + _FEASIBILITY_SLACK, f - _FEASIBILITY_SLACK)
             for f in map(f_from_concurrence, _C_GRID + EDGE_C + BAND_C)
@@ -370,10 +367,9 @@ class TestSidesInReach:
         skipped = {"c": 0, "margin": 0}
         windows = guard_windows(grid_n) + oracle_windows
         for lo1, hi1, lo2, hi2 in windows:
-            ax1 = (lo1 + centers * (hi1 - lo1) / grid_n)[:, None]
+            ax1 = lo1 + centers * (hi1 - lo1) / grid_n
             ax2 = lo2 + centers * (hi2 - lo2) / grid_n
-            p = np.cos(ax1) * np.cos(ax2)
-            q = np.sin(ax1) * np.sin(ax2)
+            cos_sum, _, cos_diff = grids(ax1, ax2, True, True)
             sum_top = max(math.cos(lo1 + lo2), math.cos(hi1 + hi2))
             diff_bottom = math.cos(max(abs(lo1 - hi2), abs(hi1 - lo2)))
             margin_bounds = [
@@ -389,11 +385,11 @@ class TestSidesInReach:
                         lo1, hi1, lo2, hi2, upper, lower
                     )
                     if not sum_in_reach:
-                        assert np.all(np.cos(ax1 + ax2) < upper - guard)
-                        assert np.all(p - q < upper - guard)
+                        assert np.all(np.cos(ax1[:, None] + ax2) < upper - guard)
+                        assert np.all(cos_sum < upper - guard)
                     if not diff_in_reach:
-                        assert np.all(np.cos(ax1 - ax2) > lower + guard)
-                        assert np.all(p + q > lower + guard)
+                        assert np.all(np.cos(ax1[:, None] - ax2) > lower + guard)
+                        assert np.all(cos_diff > lower + guard)
                     skipped[kind] += (not sum_in_reach) + (not diff_in_reach)
         assert skipped["c"] > len(windows) and skipped["margin"] > len(windows), skipped
 
@@ -407,7 +403,56 @@ class TestSidesInReach:
         assert len(counter.stages) == 2 * len(_C_GRID) * stages
         refines = [sides for k, sides in enumerate(counter.stages) if k % stages]
         assert all(sides in ("s", "d") for sides in refines), refines
+        # The first stage forms both sides, but at c = 0 no cell can fail the
+        # sum bound (f = 1) and at c = 1 none the difference bound (f = -1).
+        assert counter.stages[::stages] == ["d"] * 2 + ["sd"] * 18 + ["s"] * 2
+        grid_n = 128  # numeric_extremal_search's default grid_n
+        assert counter.rows == [grid_n * (1 + len(sides)) for sides in counter.stages]
         assert max(errors.values()) <= 1e-6
+
+
+# Prints float.hex of each search's four result fields, for the c read
+# from stdin, each c with both objectives.
+KERNEL_CHILD = """
+import json, sys
+from dataclasses import astuple
+from kcbs_msr import numeric_extremal_search
+print(json.dumps([[float(v).hex() for v in astuple(numeric_extremal_search(c, objective))[:4]]
+                  for c in json.load(sys.stdin) for objective in ("minimize", "maximize")]))
+"""
+KERNEL_C = _C_GRID + EDGE_C + BAND_C + SEEDED_C
+
+
+@cache
+def in_process_hexes():
+    return [[float(v).hex() for v in astuple(numeric_extremal_search(c, objective))[:4]]
+            for c in KERNEL_C for objective in ("minimize", "maximize")]
+
+
+class TestKernelIndependence:
+    """The search returns the same results whichever BLAS kernel forms its
+    grids.  OpenBLAS picks its kernel per CPU; Prescott has no fused
+    multiply-add, so about a quarter of its side cells round differently
+    from Haswell's, and the guard band must absorb that.  Each environment
+    is set on the child only: OpenBLAS reads it when it loads."""
+
+    @pytest.mark.parametrize(
+        "env",
+        [{"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_NUM_THREADS": "1"}],
+        ids=["prescott", "haswell", "one-thread"],
+    )
+    def test_same_results_under_another_kernel(self, env):
+        root = str(Path(extremal.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", KERNEL_CHILD],
+            input=json.dumps(KERNEL_C),
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, **env},
+            check=True,
+        )
+        assert json.loads(child.stdout) == in_process_hexes()
 
 
 def s_of_p(p, coef, const):
