@@ -303,11 +303,7 @@ _GROUPS = (
 
 def run_all_checks(samples: int = 1000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run every verification check on ``samples`` seeded random states."""
-    samples, seed = _as_integer("samples", samples), _as_integer("seed", seed)
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1: got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative: got {seed}")
+    samples, seed = _as_integer("samples", samples, 1), _as_integer("seed", seed, 0)
     chunks = _sample_chunks(samples, seed, _CHUNK)
     errors = {}
     for group in _GROUPS:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .measures import _validate_concurrence, f_from_concurrence
 from .observables import SPECTRUM_MAX, SQRT5
+from .states import _as_integer
 
 __all__ = [
     "ExtremalResult",
@@ -238,10 +239,8 @@ def numeric_extremal_search(
     """
     f_t = f_from_concurrence(c)
     _validate_objective(objective)
-    if grid_n < 16:
-        raise ValueError(f"grid_n must be at least 16: got {grid_n}")
-    if refine_iters < 0:
-        raise ValueError(f"refine_iters must be non-negative: got {refine_iters}")
+    grid_n = _as_integer("grid_n", grid_n, 16)
+    refine_iters = _as_integer("refine_iters", refine_iters, 0)
 
     # Own affine S: an oracle shares no code with measures; its rounding picks the printed witness.
     s_coef = 4.0 * (3.0 * SQRT5 - 5.0) / (f_t + 3.0)

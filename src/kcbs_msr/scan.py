@@ -24,9 +24,8 @@ or more in magnitude, or within 1e-6 of an integer (an integer text gains
 ".0", and subnormals lie within 1e-6 of 0), so the cells with such an s or
 c take their JSON text through ``%s`` instead.
 The slabs go to a temporary file next to the target, which replaces the
-target only once the scan is complete.  ``compute_scan`` and the renderers
-hold the same grid in memory as records, for small resolutions and for
-tests.
+target only once the scan is complete.  ``compute_scan`` holds the same
+grid in memory as records, for small resolutions and for tests.
 
 Formatting is nearly all of a scan's time, so where the process may run on
 more than one CPU ``write_scan`` forks one helper process (one was measured
@@ -64,8 +63,6 @@ __all__ = [
     "ScanRecord",
     "ScanSummary",
     "compute_scan",
-    "render_csv",
-    "render_json",
     "write_scan",
 ]
 
@@ -83,9 +80,7 @@ class ScanConfig:
     output_format: str = "csv"
 
     def __post_init__(self) -> None:
-        _as_integer("resolution", self.resolution)
-        if self.resolution < 2:
-            raise ValueError(f"resolution must be at least 2: got {self.resolution}")
+        _as_integer("resolution", self.resolution, 2)
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(
                 f"output format must be one of {OUTPUT_FORMATS}: got {self.output_format!r}"
@@ -125,6 +120,7 @@ def dphi_centers(resolution: int) -> np.ndarray:
 
 def compute_scan(resolution: int) -> list[ScanRecord]:
     """Evaluate the grid in row-major order (theta1 outer, delta_phi inner)."""
+    resolution = _as_integer("resolution", resolution, 2)
     th = theta_centers(resolution)
     t1, t2, dphi = np.meshgrid(th, th, dphi_centers(resolution), indexing="ij")
     s, c, code = _evaluate(t1, t2, dphi)
@@ -132,42 +128,13 @@ def compute_scan(resolution: int) -> list[ScanRecord]:
     return [ScanRecord(*row) for row in zip(*(col.ravel().tolist() for col in columns))]
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
-def render_csv(records: list[ScanRecord]) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(
-        f"{_fmt(r.theta1)},{_fmt(r.theta2)},{_fmt(r.delta_phi)},"
-        f"{_fmt(r.s)},{_fmt(r.c)},{r.regime}"
-        for r in records
-    )
-    return "\n".join(lines) + "\n"
-
-
-def render_json(records: list[ScanRecord]) -> str:
-    rows = [
-        {
-            "theta1": float(_fmt(r.theta1)),
-            "theta2": float(_fmt(r.theta2)),
-            "delta_phi": float(_fmt(r.delta_phi)),
-            "s": float(_fmt(r.s)),
-            "c": float(_fmt(r.c)),
-            "regime": r.regime,
-        }
-        for r in records
-    ]
-    return json.dumps(rows, separators=(",", ":")) + "\n"
-
-
 def _csv_numbers(values) -> list[str]:
-    """``_fmt`` of each value."""
+    """``%.12g`` of each value."""
     return list(map("%.12g".__mod__, values))
 
 
 def _json_numbers(values) -> list[str]:
-    """What ``json.dumps`` writes for ``float(_fmt(v))``: its repr if finite,
+    """What ``json.dumps`` writes for ``float("%.12g" % v)``: its repr if finite,
     else ``NaN``, ``Infinity`` or ``-Infinity``."""
     return list(map(json.dumps, map(float, _csv_numbers(values))))
 

@@ -176,15 +176,20 @@ def _one_row(*values) -> np.ndarray:
     return np.array(values, dtype=float)[:, None]
 
 
-def _as_integer(name: str, value) -> int:
+def _as_integer(name: str, value, minimum: int | None = None) -> int:
     """``value`` as an int by ``operator.index``, or ``TypeError: <name> must
-    be an integer: got <value!r>``: the integer check of ``sample_pairs``,
-    ``run_all_checks`` and ``ScanConfig``.  The int also serves numpy's
-    ``advance``, which overflows on a numpy integer."""
+    be an integer: got <value!r>``; an int below ``minimum`` is a
+    ``ValueError``, ``<name> must be at least <minimum>`` (``non-negative``
+    at 0).  The one check of every integer argument of the package.  The
+    int also serves numpy's ``advance``, which overflows on a numpy integer."""
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer: got {value!r}") from None
+    if minimum is not None and number < minimum:
+        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}: got {number}")
+    return number
 
 
 def _sample_chunks(
@@ -202,8 +207,7 @@ def _sample_chunks(
     from a second generator advanced past the thetas, so no angle depends
     on ``size``.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative: got {count}")
+    count = _as_integer("count", count, 0)
     theta_rng, phi_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     phi_rng.bit_generator.advance(2 * count)
     for start in range(0, count, size):
@@ -295,7 +299,7 @@ def _amplitude_rows(half1, half2, phase1, phase2, phase_sum, f) -> np.ndarray:
 def sample_pairs(count: int, seed: int = DEFAULT_SEED) -> list[MsrPair]:
     """Draw ``count`` star pairs uniformly on the sphere (cos(theta) uniform,
     phi uniform), reproducibly from ``seed``."""
-    count, seed = _as_integer("count", count), _as_integer("seed", seed)
+    count, seed = _as_integer("count", count), _as_integer("seed", seed, 0)
     return [
         MsrPair.from_angles(t1, p1, t2, p2)
         for thetas, phis in _sample_chunks(count, seed, max(count, 1))

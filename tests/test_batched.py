@@ -325,3 +325,10 @@ def test_chunked_draws_match_the_draws_at_once():
         assert np.array_equal(bits(chunk_thetas), bits(thetas))
         assert np.array_equal(bits(chunk_phis), bits(phis))
     assert list(_sample_chunks(0, 3, 1)) == []
+
+
+def test_sampler_checks_its_count_at_the_first_chunk():
+    chunks = _sample_chunks(-1, 3, 1)
+    with pytest.raises(ValueError) as raised:
+        next(chunks)
+    assert str(raised.value) == "count must be non-negative: got -1"

@@ -162,10 +162,24 @@ class TestNumericSearch:
             numeric_extremal_search(2.0, "minimize")
         with pytest.raises(ValueError):
             numeric_extremal_search(0.5, "shrink")
-        with pytest.raises(ValueError):
-            numeric_extremal_search(0.5, "minimize", grid_n=8)
-        with pytest.raises(ValueError):
-            numeric_extremal_search(0.5, "minimize", refine_iters=-1)
+
+    @pytest.mark.parametrize(
+        "argument, value, error, message",
+        [
+            ("grid_n", 8, ValueError, "grid_n must be at least 16: got 8"),
+            ("grid_n", 128.0, TypeError, "grid_n must be an integer: got 128.0"),
+            ("refine_iters", -1, ValueError, "refine_iters must be non-negative: got -1"),
+            ("refine_iters", "3", TypeError, "refine_iters must be an integer: got '3'"),
+        ],
+    )
+    def test_integer_argument_is_named(self, argument, value, error, message):
+        with pytest.raises(error) as raised:
+            numeric_extremal_search(0.5, "minimize", **{argument: value})
+        assert str(raised.value) == message
+
+    def test_accepts_numpy_integers(self):
+        found = numeric_extremal_search(0.5, "minimize", np.int64(33), np.int64(3))
+        assert found == numeric_extremal_search(0.5, "minimize", 33, 3)
 
 
 def reference_search(c, objective="minimize", grid_n=128, refine_iters=8):

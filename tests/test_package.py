@@ -66,8 +66,6 @@ PUBLIC_API = {
         "ScanRecord",
         "ScanSummary",
         "compute_scan",
-        "render_csv",
-        "render_json",
         "write_scan",
     ],
     "checks": ["CheckResult", "run_all_checks"],
@@ -77,7 +75,7 @@ PUBLIC_API = {
 class TestPublicApi:
     def test_package_exports_exactly_the_api(self):
         expected = {name for names in PUBLIC_API.values() for name in names}
-        assert len(expected) == 57
+        assert len(expected) == 55
         assert len(kcbs_msr.__all__) == len(set(kcbs_msr.__all__))
         assert set(kcbs_msr.__all__) == expected
 

@@ -25,8 +25,6 @@ from kcbs_msr import (
     ScanRecord,
     classify_s,
     compute_scan,
-    render_csv,
-    render_json,
     s_function,
     write_scan,
 )
@@ -54,6 +52,37 @@ EDGE_VALUES = [
 ]
 
 
+def _fmt(value):
+    return f"{value:.12g}"
+
+
+# The reference renderer, which shares no code with ``write_scan``: it
+# formats each record's values on its own, one record a line or object.
+def render_csv(records):
+    lines = ["theta1,theta2,delta_phi,s,c,regime"]
+    lines.extend(
+        f"{_fmt(r.theta1)},{_fmt(r.theta2)},{_fmt(r.delta_phi)},"
+        f"{_fmt(r.s)},{_fmt(r.c)},{r.regime}"
+        for r in records
+    )
+    return "\n".join(lines) + "\n"
+
+
+def render_json(records):
+    rows = [
+        {
+            "theta1": float(_fmt(r.theta1)),
+            "theta2": float(_fmt(r.theta2)),
+            "delta_phi": float(_fmt(r.delta_phi)),
+            "s": float(_fmt(r.s)),
+            "c": float(_fmt(r.c)),
+            "regime": r.regime,
+        }
+        for r in records
+    ]
+    return json.dumps(rows, separators=(",", ":")) + "\n"
+
+
 def regime_counts(records):
     """Records per regime label, keyed by label, all three labels present:
     the reference counter that ``write_scan``'s counts must equal."""
@@ -71,10 +100,18 @@ def _vm_rss_kib():
     raise AssertionError("no VmRSS line in /proc/self/status")
 
 
+def _scan_config(resolution):
+    return ScanConfig(resolution=resolution, output_path="out.csv")
+
+
 class TestScanConfig:
+    # compute_scan takes the same resolution check as ScanConfig.
     def test_rejects_small_resolution(self):
-        with pytest.raises(ValueError, match="resolution"):
-            ScanConfig(resolution=1, output_path="out.csv")
+        for make in (_scan_config, compute_scan):
+            for resolution in (1, 0, -2):
+                with pytest.raises(ValueError) as raised:
+                    make(resolution)
+                assert str(raised.value) == f"resolution must be at least 2: got {resolution}"
 
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
@@ -82,8 +119,9 @@ class TestScanConfig:
 
     @pytest.mark.parametrize("resolution", [2.5, 8.0, "8"])
     def test_rejects_non_integer_resolution(self, resolution):
-        with pytest.raises(TypeError, match="resolution must be an integer"):
-            ScanConfig(resolution=resolution, output_path="out.csv")
+        for make in (_scan_config, compute_scan):
+            with pytest.raises(TypeError, match="resolution must be an integer"):
+                make(resolution)
 
     def test_accepts_numpy_integer_resolution(self, tmp_path):
         config = ScanConfig(resolution=np.int64(3), output_path=tmp_path / "s.csv")
@@ -271,7 +309,8 @@ class TestWriteScan:
     def test_edge_values_equal_in_memory_render(
         self, tmp_path, monkeypatch, processes, forked, fmt, render
     ):
-        # Slab 0 holds ordinary values only; slabs 1-3 put the edge values
+        # Slab 0 holds one edge value, in the s of its first cell: that row
+        # alone drops its leading separator.  Slabs 1-3 put the edge values
         # in s, in c and in both, so rows with and without them mix.  With
         # two processes slabs 0-1 are the caller's and 2-4 the helper's.
         resolution = 5
@@ -284,6 +323,8 @@ class TestWriteScan:
             s = rng.uniform(-4.0, 1.0, (resolution, resolution))
             c = rng.uniform(0.0, 1.0, (resolution, resolution))
             edges = np.array(EDGE_VALUES)
+            if k == 0:
+                s[0, 0] = -3.0
             if k in (1, 3):
                 s.flat[: edges.size] = edges
             if k in (2, 3):

@@ -163,6 +163,11 @@ class TestSamplePairs:
         with pytest.raises(ValueError):
             sample_pairs(-1)
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError) as raised:
+            sample_pairs(2, seed=-1)
+        assert str(raised.value) == "seed must be non-negative: got -1"
+
     @pytest.mark.parametrize("argument", ["count", "seed"])
     @pytest.mark.parametrize("value", [1.5, "10", None])
     def test_non_integer_argument_is_named(self, argument, value):
