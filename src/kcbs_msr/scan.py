@@ -29,15 +29,14 @@ grid in memory as records, for small resolutions and for tests.
 
 Formatting is nearly all of a scan's time, so where the process may run on
 more than one CPU ``write_scan`` forks one helper process (one was measured
-to pay, on 2 CPUs; more CPUs fork no more), which writes the second half of
-the theta1 slabs to an unnamed part file in the target's directory; until
-the caller has copied it after its own half, the scan takes about half the
-output again in disk space.  Each process holds one slab's arrays and one
-row of text; the helper also comes to own the caller's pages that the
-caller writes after the fork, which leaves it 3-7 MB of private memory at
-resolutions 64-128.  From Python 3.12, where ``os.fork`` warns in a process
-with more than one thread (numpy's OpenBLAS threads make most processes
-so), a scan forks only where the process has one thread.
+to pay, on 2 CPUs; more CPUs fork no more).  The two take turns at the one
+temporary file, the caller writing the even theta1 slabs and the helper the
+odd ones, each formatting its next slab while the other writes; the scan
+takes no disk space beyond its output.  Each process holds one slab's
+arrays and text; the helper also comes to own the pages the caller writes
+after the fork, 3-8 MB of private memory at resolutions 64-128.  From
+Python 3.12, where ``os.fork`` warns in a process with more than one
+thread, a scan forks only where the process has one thread.
 """
 
 from __future__ import annotations
@@ -46,9 +45,7 @@ import errno
 import json
 import math
 import os
-import shutil
 import sys
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -234,26 +231,45 @@ def _forks_helper() -> bool:
     return not (_FORK_WARNS_IF_THREADED and _thread_count() > 1)
 
 
-def _write_slabs(out, slabs, rows, th: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    """Evaluate the theta1 slabs ``slabs`` in turn and write their text to
-    ``out``; return their regime counts."""
+_IOV_MAX = max(16, os.sysconf("SC_IOV_MAX")) if hasattr(os, "writev") else 0
+
+
+def _write_all(fd: int, chunks: list[bytes]) -> None:
+    """Write ``chunks`` to ``fd`` in order, emptying the list as they are
+    written, up to IOV_MAX a call to ``os.writev`` (POSIX allows 16; one a
+    call to ``os.write`` without it), looping on a short write."""
+    while chunks:
+        n = os.writev(fd, chunks[:_IOV_MAX]) if _IOV_MAX else os.write(fd, chunks[0])
+        while chunks and len(chunks[0]) <= n:
+            n -= len(chunks.pop(0))
+        if n:
+            chunks[0] = chunks[0][n:]
+
+
+def _write_slabs(fd: int, slabs, rows, th: np.ndarray, dp: np.ndarray, token=None) -> np.ndarray:
+    """Evaluate the theta1 slabs ``slabs`` in turn, write their text to
+    ``fd``, one ``bytes`` a theta2 row (a joined slab would raise the peak
+    memory), and return their regime counts.
+
+    With ``token`` (the read end of one pipe, the write end of another) two
+    processes take turns at ``fd``: each formats its next slab while the
+    other writes, waits for the one-byte token on ``token[0]`` (but at slab
+    0), writes, and passes it on ``token[1]`` (but after the last slab).
+    End of file on ``token[0]`` raises ``EOFError``.
+    """
+    last = len(th) - 1
     counts = np.zeros(len(_LABELS), dtype=np.int64)
     for i in slabs:
         s, c, code = _evaluate(th[i], th[:, None], dp[None, :])
         code = np.ravel(code)
         counts += np.bincount(code, minlength=len(_LABELS))
-        for row in rows(i, np.ravel(s), np.ravel(c), code):
-            out.write(row.encode("utf-8"))
+        text = [row.encode("utf-8") for row in rows(i, np.ravel(s), np.ravel(c), code)]
+        if token and i and not os.read(token[0], 1):
+            raise EOFError("the other scan process has ended")
+        _write_all(fd, text)
+        if token and i < last:
+            os.write(token[1], b"t")
     return counts
-
-
-def _while_parent_is(caller: int, slabs):
-    """``slabs``, but raise before the next one once this process's parent
-    is no longer ``caller``, that is once ``caller`` has ended."""
-    for i in slabs:
-        if os.getppid() != caller:
-            raise ChildProcessError(f"scan caller {caller} has ended")
-        yield i
 
 
 def _close_fds_but(*keep: int) -> None:
@@ -266,68 +282,56 @@ def _close_fds_but(*keep: int) -> None:
     os.closerange(low, os.sysconf("SC_OPEN_MAX"))
 
 
-def _write_halves(out, path: Path, rows, th: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    """Write the text of every theta1 slab to ``out`` and return their
-    regime counts, forking a helper for the second half where
-    ``_forks_helper()``; a helper that fails raises an error naming ``path``.
+def _write_turns(fd: int, path: Path, rows, resolution: int) -> np.ndarray:
+    """Write every theta1 slab's text to ``fd`` and return their regime
+    counts; where ``_forks_helper()``, a forked helper writes the odd slabs
+    in turns with the caller (see ``_write_slabs``) through the file offset
+    the two share, and one that fails raises an error naming ``path``.
 
-    The helper writes slabs [resolution // 2, resolution) to an unnamed part
-    file in ``path``'s directory while the caller writes the slabs before
-    them to ``out``.  It first closes every descriptor above 2 but the part
-    file and its end of a pipe, so that it holds open no pipe, file or
-    socket of the caller, nor of a scan running in another thread; it stops
-    before any slab at which its parent is no longer the caller.  Once the
-    part file is complete it writes its regime counts, three int64, to the
-    pipe, its only message, and leaves, as on any error, through
-    ``os._exit``, so that it flushes no inherited buffer and runs none of
-    the caller's exit handlers.  The caller then reads the counts (or end
-    of file, if the helper failed) and copies the part file after its own
-    half.  An ``OSError`` making the part file, the pipe or the fork leaves
-    the caller to write every slab.  Whatever happens, the caller closes
-    its end of the pipe and the part file and reaps the helper, killing it
-    first only if the caller raised before it read the pipe: a helper whose
-    counts or end of file the caller has read has ended, and may be reaped
-    already where SIGCHLD is ignored, so its pid must not be signalled.
+    The helper closes every descriptor above 2 but ``fd`` and its two pipe
+    ends (none of the caller's, nor of a scan in another thread), sends its
+    regime counts (three int64) after its last slab and leaves through
+    ``os._exit``, as on any error or on end of file from a caller that has
+    ended.  An ``OSError`` making the pipes or the fork leaves the caller to
+    write every slab.  The caller reaps the helper, killing it first only
+    if it raised before it saw the helper end (end of file, no reader or
+    the counts): an ended helper may be reaped already where SIGCHLD is
+    ignored, and its pid taken.
     """
-    resolution = half = len(th)
-    pid = part = reply = None  # the helper's pid, its part file and its counts
-    fds = []  # the pipe's ends that the caller holds
+    th, dp = theta_centers(resolution), dphi_centers(resolution)
+    pid = reply = None  # the helper's pid and its counts (b"" if it failed)
+    fds = []  # the pipe ends that the caller holds
     try:
         if _forks_helper():
             try:
-                part = tempfile.TemporaryFile(dir=path.parent)
-                fds += os.pipe()
-                caller = os.getpid()
+                fds += os.pipe()  # the caller's token to the helper
+                fds += os.pipe()  # the helper's tokens and counts to the caller
                 pid = os.fork()
-                half = resolution // 2
             except OSError:
                 pass  # the caller writes every slab
         if pid == 0:
-            status = 1
             try:
-                _close_fds_but(part.fileno(), fds[1])
-                counts = _write_slabs(part, _while_parent_is(caller, range(half, resolution)), rows, th, dp)
-                part.flush()
-                os.write(fds[1], counts.tobytes())
-                status = 0
+                _close_fds_but(fd, fds[0], fds[3])
+                counts = _write_slabs(fd, range(1, resolution, 2), rows, th, dp, (fds[0], fds[3]))
+                os.write(fds[3], counts.tobytes())
+                os._exit(0)
             finally:
-                os._exit(status)
-        if pid:
-            os.close(fds.pop())  # so that a helper that fails leaves end of file
-        counts = _write_slabs(out, range(half), rows, th, dp)
-        if pid:
-            reply = os.read(fds[0], 24)  # written at once
-            if len(reply) < 24:
-                raise OSError(errno.EPIPE, f"scan helper process {pid} failed", str(path))
-            part.seek(0)
-            shutil.copyfileobj(part, out, 1 << 16)
-            counts += np.frombuffer(reply, np.int64)
-        return counts
+                os._exit(1)
+        if not pid:
+            return _write_slabs(fd, range(resolution), rows, th, dp)
+        for end in (fds.pop(), fds.pop(0)):
+            os.close(end)  # the helper's, so that its end leaves end of file or no reader
+        try:
+            counts = _write_slabs(fd, range(0, resolution, 2), rows, th, dp, fds[::-1])  # in, out
+            reply = os.read(fds[1], 24)  # written at once
+        except (EOFError, BrokenPipeError):
+            reply = b""
+        if len(reply) < 24:
+            raise OSError(errno.EPIPE, f"scan helper process {pid} failed", str(path))
+        return counts + np.frombuffer(reply, np.int64)
     finally:
-        for fd in fds:
-            os.close(fd)
-        if part is not None:
-            part.close()
+        for end in fds:
+            os.close(end)
         if pid:
             if reply is None:
                 import signal  # here, so that importing the package does not load it
@@ -349,31 +353,27 @@ def write_scan(config: ScanConfig) -> ScanSummary:
     target, not the temporary file.  Returns the per-regime summary; the
     counts always equal what a reader of the emitted file would recompute.
 
-    Where the process may run on more than one CPU and can fork there
-    without a warning, a forked helper writes the second half of the slabs
-    (see ``_write_halves``), which takes about half the output again in disk
-    space until the scan ends.  The helper is reaped before this returns or
-    raises; a helper that fails fails the scan with an error naming the
+    Where ``_forks_helper()``, a forked helper writes the odd slabs in turns
+    with the caller (see ``_write_turns``) and is reaped before this returns
+    or raises; a helper that fails fails the scan with an error naming the
     target, and one whose caller has ended stops at its next slab.
     """
     path = Path(config.output_path)
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    resolution = config.resolution
-    th = theta_centers(resolution)
-    dp = dphi_centers(resolution)
-    opening, closing, rows = _slab_text(config.output_format, resolution)
+    opening, closing, rows = _slab_text(config.output_format, config.resolution)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise _naming(exc, path) from None
     try:
-        with open(fd, "wb") as out:
-            out.write(opening.encode("utf-8"))
-            out.flush()  # so that a forked helper inherits no buffered text
-            counts = _write_halves(out, path, rows, th, dp)
-            out.write(closing.encode("utf-8"))
+        try:
+            _write_all(fd, [opening.encode("utf-8")])
+            counts = _write_turns(fd, path, rows, config.resolution)
+            _write_all(fd, [closing.encode("utf-8")])
+        finally:
+            os.close(fd)
         try:
             os.replace(tmp, path)
         except OSError as exc:

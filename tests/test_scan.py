@@ -279,17 +279,17 @@ class TestWriteScan:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failed_scan_keeps_previous_file(self, tmp_path, monkeypatch, processes, fmt):
-        # Slab 1 fails; it is the caller's with one process or two.
+        # Slab 2 fails; it is the caller's with one process or two.
         path = tmp_path / f"scan.{fmt}"
         evaluate = scan._evaluate
         th = scan.theta_centers(4).tolist()
 
-        def fail_on_second_slab(theta1, *args):
-            if th.index(float(theta1)) == 1:
+        def fail_on_third_slab(theta1, *args):
+            if th.index(float(theta1)) == 2:
                 raise RuntimeError("slab failed")
             return evaluate(theta1, *args)
 
-        monkeypatch.setattr(scan, "_evaluate", fail_on_second_slab)
+        monkeypatch.setattr(scan, "_evaluate", fail_on_third_slab)
         for count in (1, 2):
             processes(count)
             path.write_bytes(b"previous contents\n")
@@ -312,7 +312,8 @@ class TestWriteScan:
         # Slab 0 holds one edge value, in the s of its first cell: that row
         # alone drops its leading separator.  Slabs 1-3 put the edge values
         # in s, in c and in both, so rows with and without them mix.  With
-        # two processes slabs 0-1 are the caller's and 2-4 the helper's.
+        # two processes slabs 0, 2 and 4 are the caller's and 1 and 3 the
+        # helper's.
         resolution = 5
         th = scan.theta_centers(resolution).tolist()
         dp = scan.dphi_centers(resolution).tolist()
@@ -348,7 +349,7 @@ class TestWriteScan:
 
     def test_non_finite_values_parse_as_json(self, tmp_path, monkeypatch, processes, forked):
         # JSON has no nan or inf literal; json.dumps writes NaN and Infinity.
-        # With two processes each slab is in its own half.
+        # With two processes each writes one slab.
         values = [
             (np.array([[math.nan, 0.25], [math.inf, -math.inf]]), np.array([[0.5, math.nan], [1.0, 2.5]])),
             (np.array([[-1.5, -3.0], [0.125, -2.5]]), np.array([[math.inf, -math.inf], [0.75, math.nan]])),
@@ -545,7 +546,7 @@ class TestFormatterProcesses:
 
     @pytest.mark.parametrize("failing", ["pipe", "fork"])
     def test_failing_pipe_or_fork_scans_alone(self, tmp_path, monkeypatch, processes, failing):
-        # os.pipe fails once the part file is open, or os.fork does.
+        # os.pipe fails, or os.fork does.
         processes(2)
 
         def no_pipe():
@@ -567,9 +568,8 @@ class TestFormatterProcesses:
 
     def test_error_after_fork_closes_the_pipes(self, tmp_path, monkeypatch, processes):
         # A fork that raises once the child exists (as a warning turned into
-        # an error would): the scan fails, and the child writes its half,
-        # finds no reader for its counts (or leaves them unread) and exits
-        # by itself.
+        # an error would): the scan fails, and the child reads end of file
+        # where it waits for its first turn and exits by itself.
         processes(2)
         fork = os.fork
         pids = []
@@ -593,9 +593,10 @@ class TestFormatterProcesses:
         _assert_no_child()
 
     def test_formatter_holds_only_its_pipes(self, tmp_path, monkeypatch, processes, forked):
-        # The helper holds its part file and its end of the pipe; every other
-        # descriptor, such as this unrelated pipe, is closed in it.  It checks
-        # at each of its slabs, and a stray descriptor fails the scan.
+        # The helper holds the output file and its ends of the two pipes;
+        # every other descriptor, such as this unrelated pipe, is closed in
+        # it.  It checks at each of its slabs, and a stray descriptor fails
+        # the scan.
         processes(2)
         caller = os.getpid()
         evaluate = scan._evaluate
@@ -604,7 +605,7 @@ class TestFormatterProcesses:
             if os.getpid() != caller:
                 # The listing holds its own descriptor of /proc/self/fd.
                 held = set(os.listdir("/proc/self/fd")) - {"0", "1", "2"}
-                if len(held) != 3:
+                if len(held) != 4:
                     raise AssertionError(f"the helper holds {sorted(held)}")
             return evaluate(*args)
 
@@ -620,7 +621,7 @@ class TestFormatterProcesses:
 
     def test_scans_in_two_threads(self, tmp_path, monkeypatch, processes):
         # Both scans make their pipes before either forks, so each helper
-        # inherits the other scan's pipe and part file; neither may hold
+        # inherits the other scan's pipes and output file; neither may hold
         # them open.
         processes(2)
         import threading
@@ -687,13 +688,13 @@ class TestFormatterProcesses:
 
     @pytest.mark.parametrize("half", ["caller", "helper"])
     def test_error_in_either_half_fails_the_scan(self, tmp_path, monkeypatch, processes, half):
-        # Slab 2 of 9 is the caller's and slab 6 the helper's.  The caller's
+        # Slab 2 of 9 is the caller's and slab 5 the helper's.  The caller's
         # error is raised as it is; the helper's fails the scan with an
         # error naming the target.
         processes(2)
         evaluate = scan._evaluate
         th = scan.theta_centers(9).tolist()
-        failing = 2 if half == "caller" else 6
+        failing = 2 if half == "caller" else 5
 
         def fail_on_one_slab(theta1, *args):
             if th.index(float(theta1)) == failing:
@@ -726,32 +727,85 @@ class TestFormatterProcesses:
         assert killed == []
         _assert_no_child()
 
-    def test_error_copying_the_part_file_fails_the_scan(
-        self, tmp_path, monkeypatch, processes, forked, killed
-    ):
-        # The disk fills as the caller appends the helper's half; the helper
-        # has sent its counts, so it is reaped, not killed.
+    @pytest.mark.parametrize("writer", ["caller", "helper"])
+    def test_write_error_fails_the_scan(self, tmp_path, monkeypatch, processes, forked, killed, writer):
+        # The disk fills at the first slab that one process writes.  A caller
+        # that fails kills its helper; a helper that fails has ended when the
+        # caller reads end of file, so it is reaped, not killed.
         processes(2)
+        caller = os.getpid()
+        write_all = scan._write_all
 
-        def full_disk(source, target, length=0):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        def full_disk(fd, chunks):
+            # forked is empty in the helper, and in the caller until it forks.
+            failing = os.getpid() != caller if writer == "helper" else bool(forked)
+            if failing:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write_all(fd, chunks)
 
-        monkeypatch.setattr(scan.shutil, "copyfileobj", full_disk)
+        monkeypatch.setattr(scan, "_write_all", full_disk)
         path = tmp_path / "scan.csv"
         path.write_bytes(b"previous contents\n")
         fds = _open_fds()
         if _forks(2):
             with pytest.raises(OSError) as error:
                 write_scan(ScanConfig(resolution=9, output_path=path))
-            assert error.value.errno == errno.ENOSPC
+            if writer == "caller":
+                assert error.value.errno == errno.ENOSPC
+                assert killed == forked
+            else:
+                assert error.value.errno == errno.EPIPE and error.value.filename == str(path)
+                assert killed == []
             assert path.read_bytes() == b"previous contents\n"
         else:
             write_scan(ScanConfig(resolution=9, output_path=path))
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         assert len(forked) == _forks(2)
-        assert killed == []
         _assert_no_child()
         assert _open_fds() == fds
+
+    @pytest.mark.parametrize("iov_max", [0, 2])
+    def test_short_writes_are_completed(self, tmp_path, monkeypatch, processes, iov_max):
+        # Every write stops after 1000 bytes, and os.writev takes at most
+        # iov_max buffers (0: the system has no os.writev).
+        writev, write = os.writev, os.write
+
+        def short_writev(fd, buffers):
+            assert 0 < len(buffers) <= iov_max
+            return writev(fd, [b"".join(buffers)[:1000]])
+
+        monkeypatch.setattr(scan, "_IOV_MAX", iov_max)
+        monkeypatch.setattr(os, "writev", short_writev)
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:1000]))
+        path = tmp_path / "scan.json"
+        for count in (1, 2):
+            processes(count)
+            write_scan(ScanConfig(resolution=7, output_path=path, output_format="json"))
+            assert path.read_bytes() == _reference(7, "json")[0]
+
+    @pytest.mark.parametrize("slow", ["caller", "helper"])
+    @pytest.mark.parametrize("resolution", [2, 3, 7])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_either_process_waits_for_its_turn(self, tmp_path, monkeypatch, processes, forked, slow, resolution, fmt):
+        # One process takes about 20 ms a slab, so the other has its next
+        # slab ready first and must wait for the token to write it.
+        processes(2)
+        caller = os.getpid()
+        evaluate = scan._evaluate
+
+        def slow_evaluate(*args):
+            if (os.getpid() == caller) == (slow == "caller"):
+                time.sleep(0.02)
+            return evaluate(*args)
+
+        monkeypatch.setattr(scan, "_evaluate", slow_evaluate)
+        path = tmp_path / f"scan.{fmt}"
+        summary = write_scan(ScanConfig(resolution=resolution, output_path=path, output_format=fmt))
+        data, counts = _reference(resolution, fmt)
+        assert path.read_bytes() == data
+        assert summary.counts == counts
+        assert len(forked) == _forks(2)
+        _assert_no_child()
 
     def test_caller_error_kills_the_helper(self, tmp_path, monkeypatch, processes, forked, killed):
         # The caller fails at its first slab, before it reads the helper's
