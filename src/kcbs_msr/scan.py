@@ -15,9 +15,10 @@ significant digits, so a fixed configuration yields byte-identical files.
 ``write_scan`` streams: it evaluates and writes one theta1 slab at a time,
 the resolution^2 cells of one theta1 with theta2 outer and delta_phi inner,
 slabs in increasing theta1, so memory stays flat in the resolution.  Within
-a slab it fills one text template per theta2 row, whose resolution cells
-format s and c with ``%.12g`` in the same ``%`` that copies them in, so it
-holds O(resolution) template strings.  JSON writes
+a slab it fills one bytes template per theta2 row, whose resolution cells
+format s and c with ``%.12g`` in the same bytes ``%`` that copies them in
+(CPython writes the same digits there as in a str ``%``), so it holds
+O(resolution) cell templates, built once a scan.  JSON writes
 ``json.dumps(float(text))`` of the ``%.12g`` text; the two can differ only
 for values that are non-finite (JSON writes ``NaN`` and ``Infinity``), 1e5
 or more in magnitude, or within 1e-6 of an integer (an integer text gains
@@ -33,8 +34,8 @@ to pay, on 2 CPUs; more CPUs fork no more).  The two take turns at the one
 temporary file, the caller writing the even theta1 slabs and the helper the
 odd ones, each formatting its next slab while the other writes; the scan
 takes no disk space beyond its output.  Each process holds one slab's
-arrays and text; the helper also comes to own the pages the caller writes
-after the fork, 3-8 MB of private memory at resolutions 64-128.  From
+arrays and bytes; the helper also comes to own the pages the caller writes
+after the fork, 3-7 MB of private memory at resolutions 64-128.  From
 Python 3.12, where ``os.fork`` warns in a process with more than one
 thread, a scan forks only where the process has one thread.
 """
@@ -63,7 +64,7 @@ __all__ = [
     "write_scan",
 ]
 
-CSV_HEADER = "theta1,theta2,delta_phi,s,c,regime"
+CSV_HEADER = b"theta1,theta2,delta_phi,s,c,regime"
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -125,15 +126,15 @@ def compute_scan(resolution: int) -> list[ScanRecord]:
     return [ScanRecord(*row) for row in zip(*(col.ravel().tolist() for col in columns))]
 
 
-def _csv_numbers(values) -> list[str]:
+def _csv_numbers(values) -> list[bytes]:
     """``%.12g`` of each value."""
-    return list(map("%.12g".__mod__, values))
+    return list(map(b"%.12g".__mod__, values))
 
 
-def _json_numbers(values) -> list[str]:
+def _json_numbers(values) -> list[bytes]:
     """What ``json.dumps`` writes for ``float("%.12g" % v)``: its repr if finite,
     else ``NaN``, ``Infinity`` or ``-Infinity``."""
-    return list(map(json.dumps, map(float, _csv_numbers(values))))
+    return [json.dumps(float(x)).encode("ascii") for x in _csv_numbers(values)]
 
 
 def _json_differs(values: np.ndarray) -> np.ndarray:
@@ -154,36 +155,42 @@ def _naming(exc: OSError, path: Path) -> OSError:
     return OSError(exc.errno, exc.strerror, str(path))
 
 
-def _slab_text(output_format: str, resolution: int):
-    """The scan's opening and closing text and ``rows``, which makes a slab's text.
+# The regime labels as bytes slots; an object array, so that ``tolist``
+# hands out references to these bytes rather than new ones.
+_LABEL_BYTES = np.array([label.encode("ascii") for label in _LABELS.tolist()], dtype=object)
 
-    ``rows(i, s, c, code)`` yields the text of theta1 slab ``i``, one theta2
-    row at a time, each after the separator that comes before it; ``s``,
-    ``c`` and ``code`` are the slab's flat float64 and regime-code arrays,
-    theta2 outer and delta_phi inner.  A theta2 row is a head (theta1,
-    theta2) before each of the resolution cells (delta_phi, then s, c and
-    the regime label as slots); one % fills a row, formatting s and c with
-    %.12g.  Every angle is formatted once.
+
+def _slab_text(output_format: str, resolution: int):
+    """The scan's opening and closing bytes and ``rows``, which makes a slab's bytes.
+
+    ``rows(i, s, c, code)`` yields the bytes of theta1 slab ``i``, one
+    theta2 row at a time, each after the separator that comes before it;
+    ``s``, ``c`` and ``code`` are the slab's flat float64 and regime-code
+    arrays, theta2 outer and delta_phi inner.  A theta2 row is a head
+    (theta1, theta2) before each of the resolution cells (delta_phi, then s,
+    c and the regime label as slots); one bytes % fills a row, formatting s
+    and c with %.12g, the same digits as str % writes.  Every angle is
+    formatted once, and the cell and head templates are built once a scan.
     """
     if output_format == "csv":
         numbers = _csv_numbers
-        opening, separator, closing = CSV_HEADER + "\n", "\n", "\n"
-        head, cell = "{},{},", "{},%.12g,%.12g,%s"
+        opening, separator, closing = CSV_HEADER + b"\n", b"\n", b"\n"
+        head, cell = b"%s,%s,", b"{},%.12g,%.12g,%s"
     else:
         numbers = _json_numbers
-        opening, separator, closing = "[", ",", "]\n"
-        head, cell = '{{"theta1":{},"theta2":{},', '"delta_phi":{},"s":%.12g,"c":%.12g,"regime":"%s"}}'
+        opening, separator, closing = b"[", b",", b"]\n"
+        head, cell = b'{"theta1":%s,"theta2":%s,', b'"delta_phi":{},"s":%.12g,"c":%.12g,"regime":"%s"}'
     th_text = numbers(theta_centers(resolution).tolist())
-    cells = [cell.format(d) for d in numbers(dphi_centers(resolution).tolist())]
+    cells = [cell.replace(b"{}", d) for d in numbers(dphi_centers(resolution).tolist())]
     # A cell whose s or c JSON writes differently takes their text through %s.
-    text_cells = [x.replace("%.12g", "%s") for x in cells]
+    text_cells = [x.replace(b"%.12g", b"%s") for x in cells]
     width = 3 * resolution
 
     def rows(i, s, c, code):
         slots = [None] * (3 * code.size)
         slots[0::3] = s.tolist()
         slots[1::3] = c.tolist()
-        slots[2::3] = _LABELS[code].tolist()
+        slots[2::3] = _LABEL_BYTES[code].tolist()
         text_at = {}  # theta2 row -> its cells that take s and c as text
         if output_format == "json":
             for n in np.flatnonzero(_json_differs(s) | _json_differs(c)).tolist():
@@ -197,7 +204,7 @@ def _slab_text(output_format: str, resolution: int):
                 for k in text_at[j]:
                     row_cells[k] = text_cells[k]
             # Joining after an empty first cell puts the separator first.
-            row = (separator + head.format(th_text[i], t2)).join(["", *row_cells])
+            row = (separator + head % (th_text[i], t2)).join([b"", *row_cells])
             if not (i or j):
                 row = row[len(separator) :]
             yield row % tuple(slots[j * width : (j + 1) * width])
@@ -247,9 +254,9 @@ def _write_all(fd: int, chunks: list[bytes]) -> None:
 
 
 def _write_slabs(fd: int, slabs, rows, th: np.ndarray, dp: np.ndarray, token=None) -> np.ndarray:
-    """Evaluate the theta1 slabs ``slabs`` in turn, write their text to
-    ``fd``, one ``bytes`` a theta2 row (a joined slab would raise the peak
-    memory), and return their regime counts.
+    """Evaluate the theta1 slabs ``slabs`` in turn, write their bytes to
+    ``fd``, one ``bytes`` a theta2 row as ``rows`` makes them (a joined slab
+    would raise the peak memory), and return their regime counts.
 
     With ``token`` (the read end of one pipe, the write end of another) two
     processes take turns at ``fd``: each formats its next slab while the
@@ -263,7 +270,7 @@ def _write_slabs(fd: int, slabs, rows, th: np.ndarray, dp: np.ndarray, token=Non
         s, c, code = _evaluate(th[i], th[:, None], dp[None, :])
         code = np.ravel(code)
         counts += np.bincount(code, minlength=len(_LABELS))
-        text = [row.encode("utf-8") for row in rows(i, np.ravel(s), np.ravel(c), code)]
+        text = list(rows(i, np.ravel(s), np.ravel(c), code))
         if token and i and not os.read(token[0], 1):
             raise EOFError("the other scan process has ended")
         _write_all(fd, text)
@@ -283,7 +290,7 @@ def _close_fds_but(*keep: int) -> None:
 
 
 def _write_turns(fd: int, path: Path, rows, resolution: int) -> np.ndarray:
-    """Write every theta1 slab's text to ``fd`` and return their regime
+    """Write every theta1 slab's bytes to ``fd`` and return their regime
     counts; where ``_forks_helper()``, a forked helper writes the odd slabs
     in turns with the caller (see ``_write_slabs``) through the file offset
     the two share, and one that fails raises an error naming ``path``.
@@ -369,9 +376,9 @@ def write_scan(config: ScanConfig) -> ScanSummary:
         raise _naming(exc, path) from None
     try:
         try:
-            _write_all(fd, [opening.encode("utf-8")])
+            _write_all(fd, [opening])
             counts = _write_turns(fd, path, rows, config.resolution)
-            _write_all(fd, [closing.encode("utf-8")])
+            _write_all(fd, [closing])
         finally:
             os.close(fd)
         try:
