@@ -29,7 +29,8 @@ class Regime(enum.Enum):
 
     The bands are half-open with the boundary values -3 and -sqrt(5) going
     to the less quantum side: S = -3 is non-contextual, S = -sqrt(5) is
-    local.
+    local.  "Nonlocal" (CHSH-violating) holds for pure states only: mixed
+    symmetric states can have S < -sqrt(5) and violate no CHSH inequality.
     """
 
     CONTEXTUAL_NONLOCAL = "ContextualNonlocal"

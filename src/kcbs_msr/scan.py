@@ -14,19 +14,21 @@ significant digits, so a fixed configuration yields byte-identical files.
 
 ``write_scan`` streams: it evaluates and writes one theta1 slab at a time,
 the resolution^2 cells of one theta1 with theta2 outer and delta_phi inner,
-slabs in increasing theta1, so memory stays flat in the resolution.  Within
-a slab it fills one bytes template per theta2 row, whose resolution cells
-format s and c with ``%.12g`` in the same bytes ``%`` that copies them in
-(CPython writes the same digits there as in a str ``%``), so it holds
-O(resolution) cell templates, built once a scan.  JSON writes
-``json.dumps(float(text))`` of the ``%.12g`` text; the two can differ only
-for values that are non-finite (JSON writes ``NaN`` and ``Infinity``), 1e5
-or more in magnitude, or within 1e-6 of an integer (an integer text gains
-".0", and subnormals lie within 1e-6 of 0), so the cells with such an s or
-c take their JSON text through ``%s`` instead.
-The slabs go to a temporary file next to the target, which replaces the
-target only once the scan is complete.  ``compute_scan`` holds the same
-grid in memory as records, for small resolutions and for tests.
+slabs in increasing theta1.  Its memory is flat in the number of slabs but
+grows as resolution^2 (a slab's arrays, 3 resolution^2 slots and rows): a
+CSV scan peaked at 29.8, 32.1 and 41.7 MB RSS at resolutions 64, 128 and
+256 in one process, and its caller within 0.5 MB of that with the helper
+(numpy 2.4, Python 3.11).  One bytes ``%`` fills each theta2 row's
+template, formatting s and c with ``%.12g`` as it copies them in (CPython
+writes the same digits as in a str ``%``); the O(resolution) cell templates
+are built once a scan.  JSON writes ``json.dumps(float(text))`` of the
+``%.12g`` text; the two can differ only for values that are non-finite
+(JSON writes ``NaN`` and ``Infinity``), 1e5 or more in magnitude, or within
+1e-6 of an integer (an integer text gains ".0", and subnormals lie within
+1e-6 of 0), so a theta2 row with such an s or c takes all its s and c
+through ``%s``.  The slabs go to a temporary file next to the target, which
+replaces the target only once the scan is complete.  ``compute_scan`` holds
+the same grid in memory as records, for small resolutions and for tests.
 
 Formatting is nearly all of a scan's time, so where the process may run on
 more than one CPU ``write_scan`` forks one helper process (one was measured
@@ -35,7 +37,8 @@ temporary file, the caller writing the even theta1 slabs and the helper the
 odd ones, each formatting its next slab while the other writes; the scan
 takes no disk space beyond its output.  Each process holds one slab's
 arrays and bytes; the helper also comes to own the pages the caller writes
-after the fork, 3-7 MB of private memory at resolutions 64-128.  From
+after the fork, 3-7 MB of private memory at resolutions 64-128 (a peak
+RSS of 23.1, 25.8 and 35.5 MB at 64, 128 and 256, mostly shared).  From
 Python 3.12, where ``os.fork`` warns in a process with more than one
 thread, a scan forks only where the process has one thread.
 """
@@ -161,16 +164,17 @@ _LABEL_BYTES = np.array([label.encode("ascii") for label in _LABELS.tolist()], d
 
 
 def _slab_text(output_format: str, resolution: int):
-    """The scan's opening and closing bytes and ``rows``, which makes a slab's bytes.
+    """``slab``, which evaluates theta1 slab ``i`` and makes its bytes.
 
-    ``rows(i, s, c, code)`` yields the bytes of theta1 slab ``i``, one
-    theta2 row at a time, each after the separator that comes before it;
-    ``s``, ``c`` and ``code`` are the slab's flat float64 and regime-code
-    arrays, theta2 outer and delta_phi inner.  A theta2 row is a head
-    (theta1, theta2) before each of the resolution cells (delta_phi, then s,
-    c and the regime label as slots); one bytes % fills a row, formatting s
-    and c with %.12g, the same digits as str % writes.  Every angle is
-    formatted once, and the cell and head templates are built once a scan.
+    ``slab(i)`` evaluates the slab through ``_evaluate`` and returns the
+    bytes of its theta2 rows, one ``bytes`` a row, and its regime counts.
+    A row is a head (theta1, theta2) before each of the resolution cells
+    (delta_phi, then s, c and the regime label as slots), after the
+    separator that comes before it: the scan's opening before row (0, 0),
+    and its closing after the last row of the last slab.  One bytes % fills
+    a row, formatting s and c with %.12g, the same digits as str % writes.
+    Every angle is formatted once, and the grid and the cell and head
+    templates are made once a scan.
     """
     if output_format == "csv":
         numbers = _csv_numbers
@@ -180,36 +184,36 @@ def _slab_text(output_format: str, resolution: int):
         numbers = _json_numbers
         opening, separator, closing = b"[", b",", b"]\n"
         head, cell = b'{"theta1":%s,"theta2":%s,', b'"delta_phi":{},"s":%.12g,"c":%.12g,"regime":"%s"}'
-    th_text = numbers(theta_centers(resolution).tolist())
-    cells = [cell.replace(b"{}", d) for d in numbers(dphi_centers(resolution).tolist())]
-    # A cell whose s or c JSON writes differently takes their text through %s.
+    th, dp = theta_centers(resolution), dphi_centers(resolution)
+    th_text = numbers(th.tolist())
+    cells = [cell.replace(b"{}", d) for d in numbers(dp.tolist())]
+    # A JSON row with an s or c that _json_differs takes all its s and c as text.
     text_cells = [x.replace(b"%.12g", b"%s") for x in cells]
-    width = 3 * resolution
+    last = resolution - 1
 
-    def rows(i, s, c, code):
-        slots = [None] * (3 * code.size)
-        slots[0::3] = s.tolist()
-        slots[1::3] = c.tolist()
-        slots[2::3] = _LABEL_BYTES[code].tolist()
-        text_at = {}  # theta2 row -> its cells that take s and c as text
+    def slab(i):
+        s, c, code = _evaluate(th[i], th[:, None], dp[None, :])
+        slots = np.empty((resolution, resolution, 3), dtype=object)
+        slots[..., 0], slots[..., 1], slots[..., 2] = s, c, _LABEL_BYTES[code]
+        as_text = [False] * resolution
         if output_format == "json":
-            for n in np.flatnonzero(_json_differs(s) | _json_differs(c)).tolist():
-                j, k = divmod(n, resolution)
-                text_at.setdefault(j, []).append(k)
-                slots[3 * n : 3 * n + 2] = _json_numbers(slots[3 * n : 3 * n + 2])
-        for j, t2 in enumerate(th_text):
-            row_cells = cells
-            if j in text_at:
-                row_cells = list(cells)
-                for k in text_at[j]:
-                    row_cells[k] = text_cells[k]
-            # Joining after an empty first cell puts the separator first.
-            row = (separator + head % (th_text[i], t2)).join([b"", *row_cells])
-            if not (i or j):
-                row = row[len(separator) :]
-            yield row % tuple(slots[j * width : (j + 1) * width])
+            as_text = (_json_differs(s) | _json_differs(c)).any(axis=1).tolist()
+        rows = []
+        for j in range(resolution):
+            # Listing the whole slab's slots at once cost 1.4-3 MB more peak RSS at res 256.
+            row_slots, row_cells = slots[j].ravel().tolist(), cells
+            if as_text[j]:
+                row_slots[0::3] = _json_numbers(row_slots[0::3])
+                row_slots[1::3] = _json_numbers(row_slots[1::3])
+                row_cells = text_cells
+            row_head = head % (th_text[i], th_text[j])
+            lead = separator if i or j else opening
+            end = closing if i == j == last else b""
+            row = b"".join([lead, row_head, (separator + row_head).join(row_cells), end])
+            rows.append(row % tuple(row_slots))
+        return rows, np.bincount(np.ravel(code), minlength=len(_LABELS))
 
-    return opening, closing, rows
+    return slab
 
 
 # From Python 3.12 os.fork warns (DeprecationWarning) in a process with more
@@ -253,28 +257,25 @@ def _write_all(fd: int, chunks: list[bytes]) -> None:
             chunks[0] = chunks[0][n:]
 
 
-def _write_slabs(fd: int, slabs, rows, th: np.ndarray, dp: np.ndarray, token=None) -> np.ndarray:
-    """Evaluate the theta1 slabs ``slabs`` in turn, write their bytes to
-    ``fd``, one ``bytes`` a theta2 row as ``rows`` makes them (a joined slab
-    would raise the peak memory), and return their regime counts.
+def _write_slabs(fd: int, slabs: range, slab, token=None) -> np.ndarray:
+    """Write the bytes of the theta1 slabs ``slabs`` to ``fd`` in turn, one
+    ``bytes`` a theta2 row as ``slab`` makes them (a joined slab would raise
+    the peak memory), and return their regime counts.
 
     With ``token`` (the read end of one pipe, the write end of another) two
     processes take turns at ``fd``: each formats its next slab while the
     other writes, waits for the one-byte token on ``token[0]`` (but at slab
-    0), writes, and passes it on ``token[1]`` (but after the last slab).
-    End of file on ``token[0]`` raises ``EOFError``.
+    0), writes, and passes it on ``token[1]`` (but after the scan's last
+    slab, ``slabs.stop - 1``).  End of file on ``token[0]`` raises EOFError.
     """
-    last = len(th) - 1
     counts = np.zeros(len(_LABELS), dtype=np.int64)
     for i in slabs:
-        s, c, code = _evaluate(th[i], th[:, None], dp[None, :])
-        code = np.ravel(code)
-        counts += np.bincount(code, minlength=len(_LABELS))
-        text = list(rows(i, np.ravel(s), np.ravel(c), code))
+        rows, slab_counts = slab(i)
+        counts += slab_counts
         if token and i and not os.read(token[0], 1):
             raise EOFError("the other scan process has ended")
-        _write_all(fd, text)
-        if token and i < last:
+        _write_all(fd, rows)
+        if token and i < slabs.stop - 1:
             os.write(token[1], b"t")
     return counts
 
@@ -289,7 +290,7 @@ def _close_fds_but(*keep: int) -> None:
     os.closerange(low, os.sysconf("SC_OPEN_MAX"))
 
 
-def _write_turns(fd: int, path: Path, rows, resolution: int) -> np.ndarray:
+def _write_turns(fd: int, path: Path, slab, resolution: int) -> np.ndarray:
     """Write every theta1 slab's bytes to ``fd`` and return their regime
     counts; where ``_forks_helper()``, a forked helper writes the odd slabs
     in turns with the caller (see ``_write_slabs``) through the file offset
@@ -305,7 +306,6 @@ def _write_turns(fd: int, path: Path, rows, resolution: int) -> np.ndarray:
     the counts): an ended helper may be reaped already where SIGCHLD is
     ignored, and its pid taken.
     """
-    th, dp = theta_centers(resolution), dphi_centers(resolution)
     pid = reply = None  # the helper's pid and its counts (b"" if it failed)
     fds = []  # the pipe ends that the caller holds
     try:
@@ -319,17 +319,17 @@ def _write_turns(fd: int, path: Path, rows, resolution: int) -> np.ndarray:
         if pid == 0:
             try:
                 _close_fds_but(fd, fds[0], fds[3])
-                counts = _write_slabs(fd, range(1, resolution, 2), rows, th, dp, (fds[0], fds[3]))
+                counts = _write_slabs(fd, range(1, resolution, 2), slab, (fds[0], fds[3]))
                 os.write(fds[3], counts.tobytes())
                 os._exit(0)
             finally:
                 os._exit(1)
         if not pid:
-            return _write_slabs(fd, range(resolution), rows, th, dp)
+            return _write_slabs(fd, range(resolution), slab)
         for end in (fds.pop(), fds.pop(0)):
             os.close(end)  # the helper's, so that its end leaves end of file or no reader
         try:
-            counts = _write_slabs(fd, range(0, resolution, 2), rows, th, dp, fds[::-1])  # in, out
+            counts = _write_slabs(fd, range(0, resolution, 2), slab, fds[::-1])  # in, out
             reply = os.read(fds[1], 24)  # written at once
         except (EOFError, BrokenPipeError):
             reply = b""
@@ -368,7 +368,7 @@ def write_scan(config: ScanConfig) -> ScanSummary:
     path = Path(config.output_path)
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    opening, closing, rows = _slab_text(config.output_format, config.resolution)
+    slab = _slab_text(config.output_format, config.resolution)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -376,9 +376,7 @@ def write_scan(config: ScanConfig) -> ScanSummary:
         raise _naming(exc, path) from None
     try:
         try:
-            _write_all(fd, [opening])
-            counts = _write_turns(fd, path, rows, config.resolution)
-            _write_all(fd, [closing])
+            counts = _write_turns(fd, path, slab, config.resolution)
         finally:
             os.close(fd)
         try:

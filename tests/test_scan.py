@@ -327,10 +327,11 @@ class TestWriteScan:
         self, tmp_path, monkeypatch, processes, forked, fmt, render
     ):
         # Slab 0 holds one edge value, in the s of its first cell: that row
-        # alone drops its leading separator.  Slabs 1-3 put the edge values
-        # in s, in c and in both, so rows with and without them mix.  With
-        # two processes slabs 0, 2 and 4 are the caller's and 1 and 3 the
-        # helper's.
+        # alone follows the opening.  Slabs 1-3 put the edge values in s, in
+        # c and in both, so rows with and without them mix.  Slab 4 holds
+        # one, in the c of its last cell: that row alone comes before the
+        # closing.  With two processes slabs 0, 2 and 4 are the caller's and
+        # 1 and 3 the helper's.
         resolution = 5
         th = scan.theta_centers(resolution).tolist()
         dp = scan.dphi_centers(resolution).tolist()
@@ -347,6 +348,8 @@ class TestWriteScan:
                 s.flat[: edges.size] = edges
             if k in (2, 3):
                 c.flat[-edges.size :] = edges[::-1]
+            if k == resolution - 1:
+                c[-1, -1] = 1.0
             code = np.arange(resolution**2).reshape(resolution, resolution) % 3
             return s, c, code
 
@@ -690,16 +693,16 @@ class TestFormatterProcesses:
         slab_text = scan._slab_text
 
         def dying_slab_text(*args):
-            opening, closing, rows = slab_text(*args)
+            slab = slab_text(*args)
             slabs = []
 
-            def dying_rows(*slab):
-                slabs.append(slab)
+            def dying_slab(i):
+                slabs.append(i)
                 if os.getpid() != caller and len(slabs) == 2:
                     os.kill(os.getpid(), signal.SIGKILL)
-                return rows(*slab)
+                return slab(i)
 
-            return opening, closing, dying_rows
+            return dying_slab
 
         monkeypatch.setattr(scan, "_slab_text", dying_slab_text)
         path = tmp_path / f"scan.{fmt}"

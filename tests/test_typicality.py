@@ -7,6 +7,14 @@ f rises, has the CDF P(C <= c) = P(f >= (1 - 3c)/(1 + c)) = 2c/(1 + c) on
 [0, 1].  A seeded Kolmogorov-Smirnov test holds the sampler to both laws,
 and a sampler that draws theta uniform on [0, pi] (too many stars near the
 poles), which passes every ``verify`` check, fails it.
+
+Haar-random qutrits (normalised complex-Gaussian amplitudes) follow other
+laws: p0 = |b|^2, the weight of m = 0, has P(p0 <= t) = 1 - (1 - t)^2 and
+the concurrence P(C <= c) = c^2.  Since S falls linearly in p0 from
+SPECTRUM_MAX to SPECTRUM_MIN, S < -3 means p0 > (5 + sqrt(5))/10 and
+S < -sqrt(5) means p0 > 1/2, so P(S < -3) = ((5 - sqrt(5))/10)^2, about
+0.0764, and P(S < -sqrt(5)) = 1/4: uniform stars are not Haar-random
+states.
 """
 
 import math
@@ -14,7 +22,9 @@ import math
 import numpy as np
 import pytest
 
-from kcbs_msr.measures import concurrence_of_overlap
+from kcbs_msr import kcbs_operator_diagonal
+from kcbs_msr.measures import _concurrence_rows, _expectation_rows, concurrence_of_overlap
+from kcbs_msr.observables import SPECTRUM_MAX, SPECTRUM_MIN
 from kcbs_msr.states import _overlap_parts, _sample_chunks
 
 SAMPLES = 20_000
@@ -73,3 +83,43 @@ def test_theta_uniform_sampler_fails(seed):
     f, c = overlap_and_concurrence(thetas, phis)
     assert ks_statistic(f, uniform_overlap_cdf) > D_BOUND
     assert ks_statistic(c, concurrence_cdf) > D_BOUND
+
+
+def haar_qutrits(seed):
+    """Amplitude rows of seeded Haar-random qutrits: complex-Gaussian rows,
+    normalised."""
+    g = np.random.default_rng(seed).standard_normal((SAMPLES, 2, 3))
+    rows = g[:, 0] + 1j * g[:, 1]
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+def weight_of_zero_cdf(t):
+    return 1.0 - (1.0 - t) ** 2
+
+
+def s_below_probability(s):
+    """P(S < s) under the Haar law: S < s where p0 exceeds the p0 at which
+    S = SPECTRUM_MAX + (SPECTRUM_MIN - SPECTRUM_MAX) p0 reaches s."""
+    return 1.0 - weight_of_zero_cdf((SPECTRUM_MAX - s) / (SPECTRUM_MAX - SPECTRUM_MIN))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_haar_weight_of_zero_and_concurrence_follow_their_laws(seed):
+    rows = haar_qutrits(seed)
+    assert ks_statistic(np.abs(rows[:, 1]) ** 2, weight_of_zero_cdf) <= D_BOUND
+    assert ks_statistic(_concurrence_rows(rows), lambda c: c**2) <= D_BOUND
+
+
+def test_haar_regime_probabilities():
+    # Through the spectrum constants the first is 1.1e-15 off, relatively.
+    assert s_below_probability(-3.0) == pytest.approx(((5.0 - math.sqrt(5.0)) / 10.0) ** 2, rel=4e-15)
+    assert s_below_probability(-math.sqrt(5.0)) == pytest.approx(0.25, rel=4e-15)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_haar_regime_fractions_follow_the_weight_of_zero(seed):
+    # Each fraction is the p0 law's tail at one point, so the D bound on
+    # p0's empirical CDF bounds its distance from the probability.
+    s = _expectation_rows(haar_qutrits(seed), kcbs_operator_diagonal())
+    for edge in (-3.0, -math.sqrt(5.0)):
+        assert abs(np.mean(s < edge) - s_below_probability(edge)) <= D_BOUND
