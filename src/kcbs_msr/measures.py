@@ -38,6 +38,8 @@ from .states import MsrPair, Qutrit, _one_row, _overlap_parts, f_function
 
 # Largest imaginary part a real expectation value may carry.
 _HERMITIAN_TOL = 1e-12
+_DEGENERATE_SIN = 1e-12  # |sin t1 sin t2| below this: delta_phi has no effect on f
+_COS_DPHI_SLACK = 1e-12  # slack on |cos delta_phi| <= 1 for boundary solutions in floats
 
 __all__ = [
     "DegenerateAnglesError",
@@ -218,12 +220,12 @@ def delta_phi_for_constant_c(theta1: float, theta2: float, c: float) -> float:
     """
     f_t = f_from_concurrence(c)
     p = math.sin(theta1) * math.sin(theta2)
-    if abs(p) < 1e-12:
+    if abs(p) < _DEGENERATE_SIN:
         raise DegenerateAnglesError(
             "sin(theta1) sin(theta2) vanishes; delta_phi is unconstrained"
         )
     value = (f_t - math.cos(theta1) * math.cos(theta2)) / p
-    if not abs(value) <= 1.0 + 1e-12:
+    if not abs(value) <= 1.0 + _COS_DPHI_SLACK:
         raise InfeasiblePhaseError(
             f"no delta_phi realizes concurrence {c} at these angles: "
             f"cos(delta_phi) would be {value}"

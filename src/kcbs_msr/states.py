@@ -212,7 +212,7 @@ def _sample_chunks(
     phi_rng.bit_generator.advance(2 * count)
     for start in range(0, count, size):
         shape = (min(size, count - start), 2)
-        thetas = np.arccos(theta_rng.uniform(-1.0, 1.0, size=shape))
+        thetas = _acos(theta_rng.uniform(-1.0, 1.0, size=shape))
         phis = phi_rng.uniform(0.0, _TWO_PI, size=shape)
         yield thetas, np.remainder(phis, _TWO_PI, out=phis)
 
@@ -237,12 +237,16 @@ def _overlap_of_trig(trig1, trig2, cos_dphi):
     return x, y, np.clip(x + y, -1.0, 1.0)
 
 
-def _overlap_angles(f) -> np.ndarray:
-    """Half the arccosine of each overlap in ``f``: :func:`overlap_angle` over rows.
+def _acos(values) -> np.ndarray:
+    """``math.acos`` of each value, in the shape of ``values``.  Not ``np.arccos``:
+    numpy picks its kernel by the CPU's SIMD features, and they round differently."""
+    flat = np.ravel(values).tolist()
+    return np.fromiter(map(math.acos, flat), float, len(flat)).reshape(np.shape(values))
 
-    ``math.acos`` per value: ``np.arccos`` rounds differently on some inputs.
-    """
-    return 0.5 * np.fromiter(map(math.acos, f), float, count=len(f))
+
+def _overlap_angles(f) -> np.ndarray:
+    """Half the arccosine of each overlap in ``f``: :func:`overlap_angle` over rows."""
+    return 0.5 * _acos(f)
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:

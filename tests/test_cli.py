@@ -19,6 +19,8 @@ PACKAGE_ROOT = str(Path(kcbs_msr.__file__).resolve().parent.parent)
 
 
 # Golden stdout.  Any change to a printed byte of these runs fails here.
+# They hold on every CPU: CI re-runs them with numpy's dispatched SIMD
+# kernels disabled.
 VERIFY_200 = """\
 qutrit-normalization           max_error=4.441e-16  tolerance=1.0e-12  PASS
 star-swap-symmetry             max_error=2.371e-16  tolerance=1.0e-12  PASS
@@ -49,7 +51,7 @@ all 23 checks passed
 VERIFY_200_SEED_7 = """\
 qutrit-normalization           max_error=5.551e-16  tolerance=1.0e-12  PASS
 star-swap-symmetry             max_error=2.371e-16  tolerance=1.0e-12  PASS
-global-phase-invariance        max_error=5.551e-16  tolerance=1.0e-12  PASS
+global-phase-invariance        max_error=4.441e-16  tolerance=1.0e-12  PASS
 f-range-and-overlap-roundtrip  max_error=2.220e-16  tolerance=1.0e-12  PASS
 s-four-way-equivalence         max_error=1.776e-15  tolerance=1.0e-12  PASS
 concurrence-equivalence        max_error=5.551e-16  tolerance=1.0e-12  PASS
@@ -75,11 +77,11 @@ all 23 checks passed
 
 VERIFY_1 = """\
 qutrit-normalization           max_error=0.000e+00  tolerance=1.0e-12  PASS
-star-swap-symmetry             max_error=1.130e-16  tolerance=1.0e-12  PASS
-global-phase-invariance        max_error=0.000e+00  tolerance=1.0e-12  PASS
+star-swap-symmetry             max_error=0.000e+00  tolerance=1.0e-12  PASS
+global-phase-invariance        max_error=2.220e-16  tolerance=1.0e-12  PASS
 f-range-and-overlap-roundtrip  max_error=0.000e+00  tolerance=1.0e-12  PASS
-s-four-way-equivalence         max_error=4.441e-16  tolerance=1.0e-12  PASS
-concurrence-equivalence        max_error=2.498e-16  tolerance=1.0e-12  PASS
+s-four-way-equivalence         max_error=2.220e-16  tolerance=1.0e-12  PASS
+concurrence-equivalence        max_error=2.082e-16  tolerance=1.0e-12  PASS
 s-and-c-range                  max_error=0.000e+00  tolerance=1.0e-12  PASS
 concurrence-roundtrip          max_error=1.110e-16  tolerance=1.0e-12  PASS
 diag-vs-pentagram              max_error=8.944e-16  tolerance=1.0e-10  PASS
@@ -103,7 +105,7 @@ all 23 checks passed
 VERIFY_4097 = """\
 qutrit-normalization           max_error=6.661e-16  tolerance=1.0e-12  PASS
 star-swap-symmetry             max_error=3.331e-16  tolerance=1.0e-12  PASS
-global-phase-invariance        max_error=9.992e-16  tolerance=1.0e-12  PASS
+global-phase-invariance        max_error=8.882e-16  tolerance=1.0e-12  PASS
 f-range-and-overlap-roundtrip  max_error=2.220e-16  tolerance=1.0e-12  PASS
 s-four-way-equivalence         max_error=2.665e-15  tolerance=1.0e-12  PASS
 concurrence-equivalence        max_error=6.661e-16  tolerance=1.0e-12  PASS

@@ -410,17 +410,33 @@ class TestWriteScan:
             rss.append(_vm_rss_kib())
         assert max(rss[1:]) - rss[0] <= 2048, rss
 
-    def test_memory_flat_in_resolution(self, tmp_path):
+    def test_memory_bounded_per_slab_cell(self, tmp_path):
+        # A scan holds one theta1 slab of resolution^2 cells at a time, so its
+        # memory grows as resolution^2, and the traced peak of one slab(i) is
+        # flat per cell.  Measured at res 32, 64 and 128 (Python 3.11.7, numpy
+        # 2.4.6) over slabs 0, res/3, res/2 and the last: 175-190 B a cell for
+        # CSV and 226-241 B for JSON, the most at slab 0.
+        for fmt, bytes_per_cell in (("csv", 256), ("json", 320)):
+            for resolution in (32, 64, 128):
+                slab = scan._slab_text(fmt, resolution)
+                for i in (0, resolution // 2, resolution - 1):
+                    peak = _traced_peak(slab, i)
+                    assert peak <= bytes_per_cell * resolution**2, (fmt, resolution, i, peak)
         # The res-64 CSV is 21.7 MB; a streaming writer holds one slab of it.
         path = tmp_path / "scan.csv"
-        tracemalloc.start()
-        try:
-            write_scan(ScanConfig(resolution=64, output_path=path))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(write_scan, ScanConfig(resolution=64, output_path=path))
         assert path.stat().st_size == 21_736_585
         assert peak < path.stat().st_size / 4
+
+
+def _traced_peak(function, *args):
+    """The tracemalloc peak of ``function(*args)``, in bytes."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @functools.cache
