@@ -15,10 +15,11 @@ against bisection.
 
 The sampled group takes the angles as ``states._sample_chunks`` yields
 them, one ``(thetas, phis)`` chunk at a time, and evaluates each sine and
-cosine of a chunk once: the star rows, the swapped and the phase-turned
-rows and x, y, f share them through the trig row functions of
-``states``.  Each row set has the bits of ``msr_to_qutrit`` of its star
-pairs, the per-pair reference, and passes the unit-norm gate.
+cosine of a chunk's thetas once: the star rows, the swapped and the
+phase-turned rows and x, y, f share them through
+``states._amplitude_terms``.  Each row set has the bits of
+``msr_to_qutrit`` of its star pairs, the per-pair reference, and passes
+the unit-norm gate.
 """
 
 from __future__ import annotations
@@ -63,11 +64,11 @@ from .observables import (
 )
 from .states import (
     DEFAULT_SEED,
+    _amplitude_terms,
     _as_integer,
     _cos_sin,
     _gated_rows,
     _overlap_angles,
-    _overlap_of_trig,
     _sample_chunks,
 )
 
@@ -134,23 +135,19 @@ def _chunk_rows(thetas: np.ndarray, phis: np.ndarray) -> tuple:
     """The qutrit rows of one chunk of star angles, of the same stars
     swapped and of both stars turned by ``_PHASE_SHIFT``, and x, y, f.
 
-    Each sine and cosine is evaluated once and shared.  Every row equals
-    :func:`msr_to_qutrit` of its star pair, and x, y, f equal
+    Each sine and cosine of the thetas is evaluated once and shared.  Every
+    row equals :func:`msr_to_qutrit` of its star pair, and x, y, f equal
     ``_overlap_parts`` of the same angles, bit for bit."""
     t1, t2 = thetas[:, 0], thetas[:, 1]
-    p1, p2 = phis[:, 0], phis[:, 1]
-    half1, half2 = _cos_sin(0.5 * t1), _cos_sin(0.5 * t2)
-    full1, full2 = _cos_sin(t1), _cos_sin(t2)
-    phase1, phase2, phase_sum = _cos_sin(p1), _cos_sin(p2), _cos_sin(p1 + p2)
-    x, y, f = _overlap_of_trig(full1, full2, np.cos(p1 - p2))
-    v = _gated_rows(half1, half2, phase1, phase2, phase_sum, f)
+    trig = _cos_sin(0.5 * t1), _cos_sin(0.5 * t2), _cos_sin(t1), _cos_sin(t2)
+    terms, overlap = _amplitude_terms(*trig, phis[:, 0], phis[:, 1])
+    half1, half2, phase1, phase2, phase_sum, f = terms
+    v = _gated_rows(*terms)
     swapped = _gated_rows(half2, half1, phase2, phase1, phase_sum, f)
     # Normalized into [0, 2*pi) as BlochAngles normalizes a turned azimuth.
     shifted = (phis + _PHASE_SHIFT) % (2.0 * math.pi)
-    q1, q2 = shifted[:, 0], shifted[:, 1]
-    turned_f = _overlap_of_trig(full1, full2, np.cos(q1 - q2))[2]
-    w = _gated_rows(half1, half2, _cos_sin(q1), _cos_sin(q2), _cos_sin(q1 + q2), turned_f)
-    return v, swapped, w, (x, y, f)
+    w = _gated_rows(*_amplitude_terms(*trig, shifted[:, 0], shifted[:, 1])[0])
+    return v, swapped, w, overlap
 
 
 def _chunk_errors(thetas: np.ndarray, phis: np.ndarray) -> tuple[dict, int]:

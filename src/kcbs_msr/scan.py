@@ -109,21 +109,18 @@ class ScanSummary:
     path: Path
 
 
-def theta_centers(resolution: int) -> np.ndarray:
-    """Cell centers (k + 1/2) pi / resolution over (0, pi)."""
-    return (np.arange(resolution) + 0.5) * math.pi / resolution
-
-
-def dphi_centers(resolution: int) -> np.ndarray:
-    """Cell centers (k + 1/2) 2 pi / resolution over (0, 2 pi)."""
-    return (np.arange(resolution) + 0.5) * 2.0 * math.pi / resolution
+def _centers(resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cell centers of each theta axis, (k + 1/2) pi / resolution over
+    (0, pi), and of delta_phi, twice those over (0, 2 pi)."""
+    theta = (np.arange(resolution) + 0.5) * math.pi / resolution
+    return theta, 2.0 * theta
 
 
 def compute_scan(resolution: int) -> list[ScanRecord]:
     """Evaluate the grid in row-major order (theta1 outer, delta_phi inner)."""
     resolution = _as_integer("resolution", resolution, 2)
-    th = theta_centers(resolution)
-    t1, t2, dphi = np.meshgrid(th, th, dphi_centers(resolution), indexing="ij")
+    th, dp = _centers(resolution)
+    t1, t2, dphi = np.meshgrid(th, th, dp, indexing="ij")
     s, c, code = _evaluate(t1, t2, dphi)
     columns = (t1, t2, dphi, s, c, _LABELS[code])
     return [ScanRecord(*row) for row in zip(*(col.ravel().tolist() for col in columns))]
@@ -184,7 +181,7 @@ def _slab_text(output_format: str, resolution: int):
         numbers = _json_numbers
         opening, separator, closing = b"[", b",", b"]\n"
         head, cell = b'{"theta1":%s,"theta2":%s,', b'"delta_phi":{},"s":%.12g,"c":%.12g,"regime":"%s"}'
-    th, dp = theta_centers(resolution), dphi_centers(resolution)
+    th, dp = _centers(resolution)
     th_text = numbers(th.tolist())
     cells = [cell.replace(b"{}", d) for d in numbers(dp.tolist())]
     # A JSON row with an s or c that _json_differs takes all its s and c as text.
@@ -371,7 +368,8 @@ def write_scan(config: ScanConfig) -> ScanSummary:
     slab = _slab_text(config.output_format, config.resolution)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        # O_BINARY, where it exists (Windows), keeps each LF from becoming CRLF.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     except OSError as exc:
         raise _naming(exc, path) from None
     try:

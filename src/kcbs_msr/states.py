@@ -20,14 +20,15 @@ Each formula is written once, over numpy arrays: the row functions
 ``_overlap_of_trig``, ``_amplitude_rows`` and ``_overlap_angles``.  The
 first two take the sines and cosines of the angles, not the angles, so a
 caller that needs several of them evaluates each sine and cosine once;
-``_overlap_parts`` and ``_amplitude_terms`` compute that trig from the
-angles.  The public scalar functions (``f_function``, ``msr_to_qutrit``,
-``overlap_angle``) are 1-row calls of them, returning Python numbers, so
-``msr_to_qutrit`` is the per-pair reference of every batch of amplitude
-rows.  Batches come from one sampler, ``_sample_chunks``, which yields one
-``(thetas, phis)`` tuple of (n, 2) arrays per chunk; ``sample_pairs``
-walks it.  The unit-norm gate ``_unit_rows`` runs once on each path: in
-``_gated_rows`` for a batch of rows, in :class:`Qutrit` for one state.
+``_overlap_parts`` computes that trig from the angles; ``_amplitude_terms``
+takes it for each theta/2 and theta and adds the azimuths'.  The public
+scalar functions (``f_function``, ``msr_to_qutrit``, ``overlap_angle``)
+are 1-row calls of them, returning Python numbers, so ``msr_to_qutrit`` is
+the per-pair reference of every batch of amplitude rows.  Batches come
+from one sampler, ``_sample_chunks``, which yields one ``(thetas, phis)``
+tuple of (n, 2) arrays per chunk; ``sample_pairs`` walks it.  The
+unit-norm gate ``_unit_rows`` runs once on each path: in ``_gated_rows``
+for a batch of rows, in :class:`Qutrit` for one state.
 """
 
 from __future__ import annotations
@@ -156,8 +157,9 @@ def f_value(pair: MsrPair) -> float:
 def msr_to_qutrit(pair: MsrPair) -> Qutrit:
     """Effective-qutrit amplitudes of the symmetric state with the given stars."""
     star1, star2 = pair.star1, pair.star2
-    angles = _one_row(star1.theta, star1.phi, star2.theta, star2.phi)
-    row = _amplitude_rows(*_amplitude_terms(*angles))
+    t1, p1, t2, p2 = _one_row(star1.theta, star1.phi, star2.theta, star2.phi)
+    trig = _cos_sin(0.5 * t1), _cos_sin(0.5 * t2), _cos_sin(t1), _cos_sin(t2)
+    row = _amplitude_rows(*_amplitude_terms(*trig, p1, p2)[0])
     # Qutrit holds its amplitudes to the unit-norm gate of _gated_rows.
     return Qutrit(*row[0].tolist())
 
@@ -267,13 +269,13 @@ def _gated_rows(*terms) -> np.ndarray:
     return _unit_rows(_amplitude_rows(*terms))
 
 
-def _amplitude_terms(theta1, phi1, theta2, phi2):
-    """The trig and the overlap that :func:`_amplitude_rows` takes, at
-    these angles: ``_cos_sin`` of theta1/2, theta2/2, phi1, phi2 and
-    phi1 + phi2, then f."""
-    f = _overlap_parts(theta1, theta2, phi1 - phi2)[2]
-    half1, half2 = _cos_sin(0.5 * theta1), _cos_sin(0.5 * theta2)
-    return half1, half2, _cos_sin(phi1), _cos_sin(phi2), _cos_sin(phi1 + phi2), f
+def _amplitude_terms(half1, half2, full1, full2, phi1, phi2):
+    """The terms of :func:`_amplitude_rows` and x, y, f, from ``_cos_sin`` of
+    theta1/2, theta2/2, theta1 and theta2 and the azimuths; the phases of
+    the terms are ``_cos_sin`` of phi1, phi2 and phi1 + phi2."""
+    x, y, f = _overlap_of_trig(full1, full2, np.cos(phi1 - phi2))
+    terms = half1, half2, _cos_sin(phi1), _cos_sin(phi2), _cos_sin(phi1 + phi2), f
+    return terms, (x, y, f)
 
 
 def _amplitude_rows(half1, half2, phase1, phase2, phase_sum, f) -> np.ndarray:
@@ -307,5 +309,5 @@ def sample_pairs(count: int, seed: int = DEFAULT_SEED) -> list[MsrPair]:
     return [
         MsrPair.from_angles(t1, p1, t2, p2)
         for thetas, phis in _sample_chunks(count, seed, max(count, 1))
-        for (t1, t2), (p1, p2) in zip(thetas, phis)
+        for (t1, t2), (p1, p2) in zip(thetas.tolist(), phis.tolist())
     ]

@@ -38,6 +38,7 @@ from kcbs_msr.states import (
     MsrPair,
     Qutrit,
     _amplitude_terms,
+    _cos_sin,
     _gated_rows,
     _overlap_parts,
     _sample_chunks,
@@ -124,11 +125,24 @@ def test_sampler_matches_sample_pairs(count, seed):
     assert [p.star2.phi for p in pairs] == phis[:, 1].tolist()
 
 
+def test_sample_pairs_holds_python_floats():
+    # The angles are Python floats, not numpy scalars, with the chunk's bits.
+    thetas, phis = joined(_sample_chunks(50, 3, 50))
+    pairs = sample_pairs(50, 3)
+    for k, pair in enumerate(pairs):
+        values = (pair.star1.theta, pair.star1.phi, pair.star2.theta, pair.star2.phi)
+        assert all(type(v) is float for v in (*values, pair.delta_phi))
+        assert values == (thetas[k, 0], phis[k, 0], thetas[k, 1], phis[k, 1])
+        assert pair.delta_phi == phis[k, 0] - phis[k, 1]
+
+
 def test_amplitude_rows(angles, rows):
     # msr_to_qutrit is a 1-row call of the gated amplitude rows: a batch
     # of them must keep every bit of it, and no vanishing part prints as -0.
     thetas, phis = angles
-    batch = _gated_rows(*_amplitude_terms(thetas[:, 0], phis[:, 0], thetas[:, 1], phis[:, 1]))
+    t1, t2 = thetas[:, 0], thetas[:, 1]
+    trig = _cos_sin(0.5 * t1), _cos_sin(0.5 * t2), _cos_sin(t1), _cos_sin(t2)
+    batch = _gated_rows(*_amplitude_terms(*trig, phis[:, 0], phis[:, 1])[0])
     assert np.array_equal(bits(batch), bits(rows))
     parts = rows.view(float)
     assert not np.any((parts == 0.0) & np.signbit(parts))

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: output, validation, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -373,6 +374,22 @@ class TestExtremal:
         assert code == 0
         assert "S_closed = -0.527864045" in out
         assert "result: PASS" in out
+
+    def test_numeric_miss_fails(self, monkeypatch, capsys):
+        # A grid search 1e-3 off the closed form fails the oracle comparison.
+        search = cli.numeric_extremal_search
+
+        def missing_search(*args):
+            found = search(*args)
+            return dataclasses.replace(found, s_star=found.s_star + 1e-3)
+
+        monkeypatch.setattr(cli, "numeric_extremal_search", missing_search)
+        code, out, _ = run_cli(
+            "extremal", "--concurrence", "0", "--objective", "min",
+            "--method", "both", capsys=capsys,
+        )
+        assert code == 2
+        assert out.endswith("result: FAIL (tolerance 1e-06)\n")
 
     def test_invalid_concurrence(self, capsys):
         code, _, err = run_cli(

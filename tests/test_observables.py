@@ -117,6 +117,10 @@ class TestPentagramFrame:
         with pytest.raises(IncompatibleFrameError):
             PentagramFrame(frame)
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(5, 3\): got \(4, 3\)"):
+            PentagramFrame(pentagram_vectors().vectors[:4])
+
     def test_rejects_non_unit(self):
         frame = pentagram_vectors().vectors.copy()
         frame[0] *= 1.001

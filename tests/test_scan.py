@@ -299,7 +299,7 @@ class TestWriteScan:
         # Slab 2 fails; it is the caller's with one process or two.
         path = tmp_path / f"scan.{fmt}"
         evaluate = scan._evaluate
-        th = scan.theta_centers(4).tolist()
+        th = scan._centers(4)[0].tolist()
 
         def fail_on_third_slab(theta1, *args):
             if th.index(float(theta1)) == 2:
@@ -322,6 +322,38 @@ class TestWriteScan:
         assert path.read_bytes() == render_csv(compute_scan(3)).encode("utf-8")
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def test_failed_replace_names_the_target(self, tmp_path, monkeypatch):
+        # The error names the target, not the temporary file, which is removed.
+        path = tmp_path / "scan.csv"
+        path.write_bytes(b"previous contents\n")
+
+        def failing_replace(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(src), None, str(dst))
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(PermissionError) as error:
+            write_scan(ScanConfig(resolution=3, output_path=path))
+        assert (error.value.errno, error.value.filename) == (errno.EACCES, str(path))
+        assert ".tmp" not in str(error.value)
+        assert path.read_bytes() == b"previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_opens_its_file_with_o_binary(self, tmp_path, monkeypatch):
+        # Windows's O_BINARY keeps each LF an LF; O_CLOEXEC, which Linux
+        # accepts and os.open sets anyway, stands in for it here.
+        monkeypatch.setattr(os, "O_BINARY", os.O_CLOEXEC, raising=False)
+        flags, real_open = [], os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        path = tmp_path / "scan.csv"
+        write_scan(ScanConfig(resolution=3, output_path=path))
+        assert [flag & os.O_CLOEXEC for flag in flags] == [os.O_CLOEXEC]
+        assert path.read_bytes() == render_csv(compute_scan(3)).encode("utf-8")
+
     @pytest.mark.parametrize(("fmt", "render"), [("csv", render_csv), ("json", render_json)])
     def test_edge_values_equal_in_memory_render(
         self, tmp_path, monkeypatch, processes, forked, fmt, render
@@ -333,8 +365,7 @@ class TestWriteScan:
         # closing.  With two processes slabs 0, 2 and 4 are the caller's and
         # 1 and 3 the helper's.
         resolution = 5
-        th = scan.theta_centers(resolution).tolist()
-        dp = scan.dphi_centers(resolution).tolist()
+        th, dp = (x.tolist() for x in scan._centers(resolution))
 
         def edge_values_evaluate(theta1, *args):
             k = th.index(float(theta1))
@@ -375,8 +406,7 @@ class TestWriteScan:
             (np.array([[-1.5, -3.0], [0.125, -2.5]]), np.array([[math.inf, -math.inf], [0.75, math.nan]])),
         ]
         code = np.array([[0, 1], [2, 0]])
-        th = scan.theta_centers(2).tolist()
-        dp = scan.dphi_centers(2).tolist()
+        th, dp = (x.tolist() for x in scan._centers(2))
 
         def non_finite_evaluate(theta1, *args):
             s, c = values[th.index(float(theta1))]
@@ -741,7 +771,7 @@ class TestFormatterProcesses:
         # error naming the target.
         processes(2)
         evaluate = scan._evaluate
-        th = scan.theta_centers(9).tolist()
+        th = scan._centers(9)[0].tolist()
         failing = 2 if half == "caller" else 5
 
         def fail_on_one_slab(theta1, *args):
